@@ -10,7 +10,7 @@ import yaml
 
 from .config import apply_overrides, load_config
 from .errors import SimulationError
-from .experiment import run_experiment
+from .experiment import load_corpus, run_experiment
 from .ingest import ingest_dataset, save_profile_cache
 from .reporting import emit_report, emit_sweep
 
@@ -82,10 +82,15 @@ def _sweep(args) -> int:
     keys = [key for key, _ in args.vary]
     value_lists = [values for _, values in args.vary]
     results = []
+    corpora = {}
     for combo in itertools.product(*value_lists):
         overrides = dict(zip(keys, combo))
         run_config = apply_overrides(config, overrides)
-        report = run_experiment(run_config)
+        # points that resolve to the same corpus share one load
+        source = (run_config.dataset, run_config.synth, run_config.grid_side, run_config.cell_size_m)
+        if source not in corpora:
+            corpora[source] = load_corpus(run_config)
+        report = run_experiment(run_config, corpora[source])
         label = "_".join(f"{k.replace('.', '-')}={v}" for k, v in overrides.items())
         emit_report(report, f"{args.out}/run_{label}")
         results.append((overrides, report))

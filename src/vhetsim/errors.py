@@ -14,7 +14,8 @@ class CdrParseError(SimulationError):
 
 
 class NormalizationError(SimulationError):
-    """Degenerate corpus: no strictly positive activity anywhere."""
+    """Malformed or degenerate traffic corpus: a bad profile cache, values
+    outside [0, 1], repeated cell ids, or no positive activity anywhere."""
 
 
 class ConfigError(SimulationError):

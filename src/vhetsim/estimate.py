@@ -7,7 +7,10 @@ multi-level k-means clustering with elbow-based cluster-count selection.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,37 +91,89 @@ class CellLoad(NamedTuple):
     load: float
 
 
+@dataclass(frozen=True, eq=False)
+class CellPool:
+    """The observable cells of one slot as arrays; indexes and iterates as CellLoads.
+
+    `ids` holds the cell ids, `xy` the (cells, 2) positions and `loads` the
+    current load of each cell. The estimators accept a pool or any iterable
+    of CellLoads.
+    """
+
+    ids: np.ndarray
+    xy: np.ndarray
+    loads: np.ndarray
+
+    @classmethod
+    def of(cls, cells) -> CellPool:
+        if isinstance(cells, CellPool):
+            return cells
+        cells = list(cells)
+        count = len(cells)
+        return cls(np.fromiter((c.cell_id for c in cells), np.int64, count),
+                   np.fromiter(itertools.chain.from_iterable(c.position for c in cells),
+                               float, 2 * count).reshape(count, 2),
+                   np.fromiter((c.load for c in cells), float, count))
+
+    def __getitem__(self, i: int) -> CellLoad:
+        x, y = self.xy[i].tolist()
+        return CellLoad(int(self.ids[i]), (x, y), float(self.loads[i]))
+
+    def __iter__(self):
+        for cell_id, (x, y), load in zip(self.ids.tolist(), self.xy.tolist(), self.loads.tolist()):
+            yield CellLoad(cell_id, (x, y), load)
+
+
 def _distance(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def _neighbor(cell: CellLoad, target: CellLoad) -> Neighbor:
+    return Neighbor(cell.cell_id, _distance(cell.position, target.position), cell.load)
+
+
+# relative slack on the k-th squared distance: far above the rounding of a
+# squared distance, so no cell whose hypot ties the k-th one is left out
+_D2_SLACK = 1e-9
+
+
 def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
-    """The n nearest active cells by Euclidean distance, ties to lower id."""
-    candidates = sorted(
-        (Neighbor(c.cell_id, _distance(c.position, target.position), c.load)
-         for c in cells if c.cell_id != target.cell_id),
-        key=lambda nb: (nb.distance, nb.cell_id),
-    )
-    if len(candidates) < n_neighbors:
+    """The n nearest active cells by Euclidean distance, ties to lower id.
+
+    Squared distances select the candidates at or inside the n-th distance;
+    the candidates are then ordered by their `math.hypot` distance and id.
+    """
+    pool = CellPool.of(cells)
+    others = np.flatnonzero(pool.ids != target.cell_id)
+    if len(others) < n_neighbors:
         raise InsufficientNeighborsError(
-            f"need {n_neighbors} active cells, only {len(candidates)} available"
+            f"need {n_neighbors} active cells, only {len(others)} available"
         )
-    return NeighborSet(tuple(candidates[:n_neighbors]))
+    dx = pool.xy[others, 0] - target.position[0]
+    dy = pool.xy[others, 1] - target.position[1]
+    d2 = dx * dx + dy * dy
+    kth = np.partition(d2, n_neighbors - 1)[n_neighbors - 1]
+    candidates = others[d2 <= kth * (1.0 + _D2_SLACK)]
+    ranked = sorted((_neighbor(pool[i], target) for i in candidates.tolist()),
+                    key=lambda nb: (nb.distance, nb.cell_id))
+    return NeighborSet(tuple(ranked[:n_neighbors]))
 
 
 def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> NeighborSet:
     """n distinct active cells drawn uniformly without replacement (seeded)."""
-    pool = [c for c in cells if c.cell_id != target.cell_id]
-    if len(pool) < n_neighbors:
+    if isinstance(cells, CellPool):
+        ids = cells.ids
+    else:
+        cells = list(cells)
+        ids = np.fromiter((c.cell_id for c in cells), np.int64, len(cells))
+    others = np.flatnonzero(ids != target.cell_id)
+    if len(others) < n_neighbors:
         raise InsufficientNeighborsError(
-            f"need {n_neighbors} active cells, only {len(pool)} available"
+            f"need {n_neighbors} active cells, only {len(others)} available"
         )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pool), size=n_neighbors, replace=False)
-    return NeighborSet(tuple(
-        Neighbor(pool[i].cell_id, _distance(pool[i].position, target.position), pool[i].load)
-        for i in chosen
-    ))
+    chosen = rng.choice(len(others), size=n_neighbors, replace=False)
+    return NeighborSet(tuple(_neighbor(cells[i], target) for i in others[chosen].tolist()))
 
 
 def estimate_mean(neighbors: NeighborSet) -> float:
@@ -176,8 +231,11 @@ def sse(points, model: ClusterModel) -> float:
 
 def _plus_plus_init(pts: np.ndarray, g: int, rng: np.random.Generator) -> np.ndarray:
     centroids = [pts[rng.integers(len(pts))]]
+    d2 = None
     for _ in range(1, g):
-        d2 = np.min(((pts[:, None, :] - np.asarray(centroids)[None]) ** 2).sum(-1), axis=1)
+        # squared distance to the nearest centroid so far, kept as a running min
+        latest = ((pts - centroids[-1]) ** 2).sum(-1)
+        d2 = latest if d2 is None else np.minimum(d2, latest)
         total = d2.sum()
         if total <= 0:
             centroids.append(pts[rng.integers(len(pts))])
@@ -186,42 +244,138 @@ def _plus_plus_init(pts: np.ndarray, g: int, rng: np.random.Generator) -> np.nda
     return np.asarray(centroids, dtype=float)
 
 
+def _lloyd_sorted(x: np.ndarray, centroids: np.ndarray):
+    """Lloyd's iterations on scalars, on the sorted points with prefix sums.
+
+    Each cluster is the run of sorted points between two centroid midpoints,
+    so an iteration costs O(g log n) instead of O(n g). The prefix-sum
+    centroids differ from the general loop's means by rounding only, and an
+    iteration goes ahead only when that rounding, and the rounding of the
+    loop's distance comparison, cannot move any point: no point lies in a
+    band around a midpoint, no two centroids are that close, and no cluster
+    is empty. Each assignment is then the one the general loop makes. At the
+    first iteration that fails the test this stops, unconverged, and the
+    general loop takes over.
+
+    Returns the assignment in the points' order (None before the first
+    iteration), the SSE history from prefix sums and whether the assignment
+    stopped changing.
+    """
+    eps = sys.float_info.epsilon
+    # equal points always share a cluster, so the sort need not be stable
+    order = np.argsort(x)
+    xs = x[order]
+    n, g = len(xs), len(centroids)
+    csum = np.concatenate(([0.0], np.cumsum(xs))).tolist()
+    csq = np.concatenate(([0.0], np.cumsum(xs * xs))).tolist()
+    # bound on a prefix-sum segment mean's error times its count; any
+    # summation order of the same points errs by less
+    sum_err = 2.0 * n * eps * float(np.abs(xs).sum())
+    # centroids closer than this may tie in the loop's rounded distances
+    # |x - c| <= 2 max|x| of a far point
+    reach = 8.0 * eps * float(np.abs(xs).max())
+    xs = xs.tolist()
+    cent = centroids.tolist()
+    err = [0.0] * g                      # the k-means++ seeds are exact
+    history, state, converged = [], None, False
+    for _ in range(_KMEANS_MAX_ITER):
+        rank = sorted(range(g), key=cent.__getitem__)
+        bounds = [0]
+        for a, b in zip(rank, rank[1:]):
+            gap = cent[b] - cent[a]
+            if gap <= err[a] + err[b] + reach:
+                break
+            mid = (cent[a] + cent[b]) / 2
+            band = (err[a] + err[b]) / 2 + eps * (abs(mid) + gap)
+            cut = bisect.bisect_left(xs, mid - band)
+            if cut <= bounds[-1] or bisect.bisect_right(xs, mid + band) != cut:
+                break
+            bounds.append(cut)
+        else:
+            if bounds[-1] < n:
+                bounds.append(n)
+        if len(bounds) <= g:
+            break
+        sse = 0.0
+        for k, lo, hi in zip(rank, bounds, bounds[1:]):
+            count, total = hi - lo, csum[hi] - csum[lo]
+            cent[k] = total / count
+            err[k] = sum_err / count + 2.0 * eps * abs(cent[k])
+            sse += csq[hi] - csq[lo] - total * total / count
+        history.append(sse)
+        converged = state == (rank, bounds)
+        state = (rank, bounds)
+        if converged:
+            break
+    if state is None:
+        return None, history, False
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.repeat(state[0], np.diff(state[1]))
+    return labels, history, converged
+
+
+def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return ((pts[:, None, :] - centroids[None]) ** 2).sum(-1)
+
+
+def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Move every centroid to its members' mean; return the squared distances."""
+    for cluster in range(len(centroids)):
+        centroids[cluster] = pts[assignment == cluster].mean(axis=0)
+    return _sq_distances(pts, centroids)
+
+
 def kmeans_cluster(points, g: int, seed: int) -> ClusterModel:
     """Lloyd's algorithm with seeded k-means++ init, run to a fixed point.
 
     Empty clusters are reseeded to the point currently farthest from its
-    centroid, so every cluster in the result is non-empty.
+    centroid, so every cluster in the result is non-empty. Scalar points run
+    the iterations on sorted prefix sums, and their SSE history before the
+    last entry comes from those sums; their fixed point is then checked with
+    the centroids and distances of the general loop, which takes over if the
+    check fails, so the result is always a fixed point of that loop.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
     if len(pts) < g:
         raise ValueError(f"need at least {g} points for {g} clusters, got {len(pts)}")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(pts, g, rng)
-    assignment = None
-    history = []
-    for _ in range(_KMEANS_MAX_ITER):
-        d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(-1)
+    rows = np.arange(len(pts))
+    assignment, history = None, []
+    if pts.shape[1] == 1:
+        assignment, history, converged = _lloyd_sorted(pts[:, 0], centroids[:, 0].copy())
+    if assignment is None:
+        d2 = _sq_distances(pts, centroids)
+    else:
+        d2 = _refresh(pts, centroids, assignment)
+        history[-1] = float(d2[rows, assignment].sum())
+        if converged and (d2.argmin(axis=1) == assignment).all():
+            return _model(centroids, assignment, history)
+    # d2 always holds the squared distances to the current centroids
+    for _ in range(len(history), _KMEANS_MAX_ITER):
         new_assignment = d2.argmin(axis=1)
         # an empty cluster steals the point farthest from its centroid among
         # clusters that can spare one, so every cluster stays non-empty
         counts = np.bincount(new_assignment, minlength=g)
         while (counts == 0).any():
             empty = int(np.flatnonzero(counts == 0)[0])
-            own_dist = d2[np.arange(len(pts)), new_assignment]
+            own_dist = d2[rows, new_assignment]
             eligible = np.flatnonzero(counts[new_assignment] > 1)
             far = int(eligible[own_dist[eligible].argmax()])
             new_assignment[far] = empty
             counts = np.bincount(new_assignment, minlength=g)
-        for cluster in range(g):
-            centroids[cluster] = pts[new_assignment == cluster].mean(axis=0)
-        d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(-1)
-        history.append(float(d2[np.arange(len(pts)), new_assignment].sum()))
+        d2 = _refresh(pts, centroids, new_assignment)
+        history.append(float(d2[rows, new_assignment].sum()))
         if assignment is not None and (new_assignment == assignment).all():
             break
         assignment = new_assignment
+    return _model(centroids, assignment, history)
+
+
+def _model(centroids: np.ndarray, assignment: np.ndarray, history: list[float]) -> ClusterModel:
     return ClusterModel(
-        centroids=tuple(tuple(float(x) for x in c) for c in centroids),
-        assignment=tuple(int(a) for a in assignment),
+        centroids=tuple(map(tuple, centroids.tolist())),
+        assignment=tuple(assignment.tolist()),
         sse=history[-1],
         sse_history=tuple(history),
     )

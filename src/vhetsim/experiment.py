@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import SimulationError
-from .estimate import CellLoad, estimate_mean, estimate_weighted, mlc_estimate, rank_neighbors, select_random
-from .ingest import TrafficProfile, ingest_dataset, load_profile_cache, synth_traffic
+from .estimate import CellLoad, CellPool, estimate_mean, estimate_weighted, mlc_estimate, rank_neighbors, select_random
+from .ingest import Corpus, ingest_dataset, load_profile_cache, synth_traffic
 from .metrics import SlotMetrics, ThresholdPolicy, decision_change_rate, empirical_p_err, mean_estimation_error
 from .power import BaseStation, Network, NetworkLoadState, Tier
 from .switching import HAPS, MBS, optimize_exhaustive, optimize_greedy
@@ -68,7 +68,7 @@ class ExperimentReport:
         }
 
 
-def load_corpus(config: ExperimentConfig) -> list[TrafficProfile]:
+def load_corpus(config: ExperimentConfig) -> Corpus:
     """Resolve the traffic corpus: cache file, raw CDR directory or synthetic."""
     if config.dataset is not None:
         path = Path(config.dataset)
@@ -95,45 +95,39 @@ def _estimator_seed(spec_seed: int, iteration: int, slot: int) -> int:
     return int(np.random.SeedSequence([spec_seed, iteration, slot]).generate_state(1)[0])
 
 
-def _estimate_sleepers(config, profiles, sbs_indices, sleepers, true_loads, slot,
+def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,
                        iteration, last_known):
     """Return estimated loads for the sleeping SBSs, keyed by SBS index."""
     spec = config.estimator
     if spec.method == "perfect":
         return {j: true_loads[j] for j in sleepers}
 
-    sleeping_cells = {profiles[sbs_indices[j]].cell_id for j in sleepers}
+    sleeper_rows = [sbs_rows[j] for j in sleepers]
+    active = np.ones(len(corpus), dtype=bool)
+    active[sleeper_rows] = False
     seed = _estimator_seed(spec.seed, iteration, slot)
 
     if spec.method == "mlc":
-        values = np.array([p.slots[slot] for p in profiles])
-        active = np.array([p.cell_id not in sleeping_cells for p in profiles])
+        values = corpus.loads[:, slot].copy()
         global_mean = float(values[active].mean())
-        cell_row = {p.cell_id: i for i, p in enumerate(profiles)}
-        for j in sleepers:
-            row = cell_row[profiles[sbs_indices[j]].cell_id]
+        for j, row in zip(sleepers, sleeper_rows):
             known = last_known.get(j)
             values[row] = known if known is not None else global_mean
-        features = None
-        if config.cluster_features == "profile":
-            features = np.array([p.slots for p in profiles])
         estimated = mlc_estimate(
             values, active,
             layers=spec.layer_count,
             clusters=spec.cluster_count,
             seed=seed,
             mean_includes_estimates=config.mlc_mean_includes_estimates,
-            features=features,
+            features=corpus.loads if config.cluster_features == "profile" else None,
         )
-        return {j: float(estimated[cell_row[profiles[sbs_indices[j]].cell_id]])
-                for j in sleepers}
+        return {j: float(estimated[row]) for j, row in zip(sleepers, sleeper_rows)}
 
-    pool = [CellLoad(p.cell_id, p.position, p.slots[slot])
-            for p in profiles if p.cell_id not in sleeping_cells]
+    pool = CellPool(corpus.ids[active], corpus.xy[active], corpus.loads[active, slot])
     out = {}
-    for j in sleepers:
-        cell = profiles[sbs_indices[j]]
-        target = CellLoad(cell.cell_id, cell.position, 0.0)
+    for j, row in zip(sleepers, sleeper_rows):
+        x, y = corpus.xy[row].tolist()
+        target = CellLoad(int(corpus.ids[row]), (x, y), 0.0)
         if spec.method.startswith("distance"):
             neighbors = rank_neighbors(target, pool, spec.neighbor_count)
         else:
@@ -146,12 +140,17 @@ def _estimate_sleepers(config, profiles, sbs_indices, sleepers, true_loads, slot
     return out
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the full experiment; fully deterministic for a fixed config + seed."""
-    profiles = load_corpus(config)
-    if len(profiles) <= config.sbs_count:
+def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> ExperimentReport:
+    """Run the full experiment; fully deterministic for a fixed config + seed.
+
+    `corpus` is the result of `load_corpus(config)` when the caller already
+    holds it, as a sweep does for the points that share one corpus.
+    """
+    if corpus is None:
+        corpus = load_corpus(config)
+    if len(corpus) <= config.sbs_count:
         raise SimulationError(
-            f"corpus of {len(profiles)} cells cannot host {config.sbs_count} SBSs "
+            f"corpus of {len(corpus)} cells cannot host {config.sbs_count} SBSs "
             "plus estimation neighbors"
         )
     s = config.sbs_count
@@ -171,19 +170,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     skipped_total = 0
     for iteration, seed_seq in enumerate(iter_seeds):
         rng = np.random.default_rng(seed_seq)
-        sbs_indices = [int(i) for i in rng.choice(len(profiles), size=s, replace=False)]
-        net = build_network(config, [profiles[i] for i in sbs_indices])
+        sbs_rows = rng.choice(len(corpus), size=s, replace=False).tolist()
+        net = build_network(config, [corpus[row] for row in sbs_rows])
         last_known: dict[int, float] = {}
         for slot in range(config.slot_count):
             try:
-                true_loads = [profiles[i].slots[slot] for i in sbs_indices]
+                true_loads = corpus.loads[sbs_rows, slot].tolist()
                 base = config.base_load
                 loads0 = NetworkLoadState(base["haps"], base["mbs"], tuple(true_loads))
                 sv_true, _, p_true = solve(net, loads0)
                 sleepers = [j for j, bit in enumerate(sv_true.delta) if bit == 0]
 
                 estimates = _estimate_sleepers(
-                    config, profiles, sbs_indices, sleepers, true_loads,
+                    config, corpus, sbs_rows, sleepers, true_loads,
                     slot, iteration, last_known,
                 )
                 for j, bit in enumerate(sv_true.delta):

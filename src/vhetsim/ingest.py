@@ -4,14 +4,15 @@ The raw input is the Telecom Italia Milan grid activity dump: tab separated
 lines of (square_id, interval_ms, country_code, sms_in, sms_out, call_in,
 call_out, internet), one record per line, inactive intervals simply absent.
 Everything downstream works on per-cell daily load profiles of 144 ten-minute
-slots, normalized to [0, 1] by the corpus-wide maximum.
+slots, normalized to [0, 1] by the corpus-wide maximum, held as one `Corpus`
+of arrays.
 """
 
 from __future__ import annotations
 
-import csv
 import gzip
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ DEFAULT_CELL_SIZE_M = 235.0
 
 _ACTIVITY_FIELDS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 _STATIC_NOISE_SHARE = 0.75
+CACHE_HEADER = ["cell_id", "x_m", "y_m"] + [f"s{t:03d}" for t in range(SLOTS_PER_DAY)]
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,70 @@ class TrafficProfile:
             raise ValueError(f"profile needs {SLOTS_PER_DAY} slots, got {len(self.slots)}")
         if any(not (0.0 <= v <= 1.0) for v in self.slots):
             raise ValueError("load factors must lie in [0, 1]")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """The normalized daily load profiles of a cell grid, as arrays.
+
+    `ids` holds one integer cell id per cell, `xy` the (cells, 2) centroid
+    positions in metres and `loads` the (cells, 144) load factors in [0, 1].
+    All three are read-only. The values are checked once, here: a bad corpus
+    raises `NormalizationError`. `len()`, indexing and iteration give one
+    `TrafficProfile` per cell, in row order.
+    """
+
+    ids: np.ndarray
+    xy: np.ndarray
+    loads: np.ndarray
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids)
+        xy = np.ascontiguousarray(self.xy, dtype=np.float64)
+        loads = np.ascontiguousarray(self.loads, dtype=np.float64)
+        cells = len(ids)
+        if ids.ndim != 1 or cells == 0:
+            raise NormalizationError("empty profile corpus")
+        if ids.dtype.kind not in "iu":
+            raise NormalizationError(f"cell ids must be integers, got {ids.dtype}")
+        if xy.shape != (cells, 2) or loads.shape != (cells, SLOTS_PER_DAY):
+            raise NormalizationError(
+                f"{cells} cells need {cells} x 2 positions and {cells} x {SLOTS_PER_DAY} "
+                f"load factors, got {xy.shape} and {loads.shape}")
+        bad = ~(np.isfinite(xy).all(axis=1) & np.isfinite(loads).all(axis=1))
+        if bad.any():
+            raise NormalizationError(f"cell {ids[bad][0]}: non-finite position or load factor")
+        bad = ((loads < 0.0) | (loads > 1.0)).any(axis=1)
+        if bad.any():
+            raise NormalizationError(f"cell {ids[bad][0]}: load factor outside [0, 1]")
+        unique, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise NormalizationError(f"duplicate cell id {unique[counts > 1][0]}")
+        object.__setattr__(self, "ids", _read_only(ids.astype(np.int64, copy=False)))
+        object.__setattr__(self, "xy", _read_only(xy))
+        object.__setattr__(self, "loads", _read_only(loads))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row: int) -> TrafficProfile:
+        x, y = self.xy[row].tolist()
+        return TrafficProfile(int(self.ids[row]), (x, y), tuple(self.loads[row].tolist()))
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (np.array_equal(self.ids, other.ids) and np.array_equal(self.xy, other.xy)
+                and np.array_equal(self.loads, other.loads))
 
 
 @dataclass(frozen=True)
@@ -104,6 +170,8 @@ def _parse_float(raw: str, name: str, line_number: int) -> float:
         value = float(raw)
     except ValueError:
         raise CdrParseError(f"bad {name} value {raw!r}", line_number) from None
+    if not math.isfinite(value):
+        raise CdrParseError(f"non-finite {name} value {raw!r}", line_number)
     if value < 0:
         raise CdrParseError(f"negative {name} value {raw!r}", line_number)
     return value
@@ -179,35 +247,43 @@ def build_daily_profile(
     return profiles
 
 
-def grid_centroid(square_id: int, grid_side: int, cell_size_m: float = DEFAULT_CELL_SIZE_M) -> tuple[float, float]:
-    """Row-major square grid: id 1 is the (0, 0) corner cell."""
+def grid_centroids(square_ids, grid_side: int, cell_size_m: float = DEFAULT_CELL_SIZE_M) -> np.ndarray:
+    """Row-major square grid, one (x, y) row per id: id 1 is the (0, 0) corner cell."""
     if cell_size_m <= 0:
         raise ValueError("cell_size_m must be > 0")
-    if not 1 <= square_id <= grid_side * grid_side:
-        raise ValueError(f"square_id {square_id} outside [1, {grid_side * grid_side}]")
-    row, col = divmod(square_id - 1, grid_side)
-    return ((col + 0.5) * cell_size_m, (row + 0.5) * cell_size_m)
+    ids = np.asarray(square_ids)
+    outside = (ids < 1) | (ids > grid_side * grid_side)
+    if outside.any():
+        raise ValueError(f"square_id {ids[outside][0]} outside [1, {grid_side * grid_side}]")
+    row, col = np.divmod(ids - 1, grid_side)
+    return np.column_stack([(col + 0.5) * cell_size_m, (row + 0.5) * cell_size_m])
+
+
+def grid_centroid(square_id: int, grid_side: int, cell_size_m: float = DEFAULT_CELL_SIZE_M) -> tuple[float, float]:
+    """Row-major square grid: id 1 is the (0, 0) corner cell."""
+    x, y = grid_centroids([square_id], grid_side, cell_size_m)[0].tolist()
+    return (x, y)
 
 
 def normalize_profiles(
     profiles: dict[int, np.ndarray],
     grid_side: int,
     cell_size_m: float = DEFAULT_CELL_SIZE_M,
-) -> list[TrafficProfile]:
+) -> Corpus:
     """Divide every raw value by the corpus-wide maximum so the peak maps to 1."""
     if not profiles:
         raise NormalizationError("empty profile corpus")
-    peak = max(float(np.max(vec)) for vec in profiles.values())
+    ids = np.array(sorted(profiles), dtype=np.int64)
+    raw = np.array([profiles[square] for square in ids.tolist()], dtype=np.float64)
+    peak = float(raw.max())
     if peak <= 0.0:
         raise NormalizationError("all-zero corpus: nothing to normalize")
-    out = []
-    for square in sorted(profiles):
-        slots = tuple(float(v) / peak for v in profiles[square])
-        out.append(TrafficProfile(square, grid_centroid(square, grid_side, cell_size_m), slots))
-    return out
+    if ids[-1] > grid_side * grid_side:
+        raise NormalizationError(f"square_id {ids[-1]} outside a {grid_side} x {grid_side} grid")
+    return Corpus(ids, grid_centroids(ids, grid_side, cell_size_m), raw / peak)
 
 
-def synth_traffic(params: SynthParams) -> list[TrafficProfile]:
+def synth_traffic(params: SynthParams) -> Corpus:
     """Generate spatially-correlated synthetic profiles on a square grid.
 
     Each cell's series is the shared diurnal profile plus a persistent
@@ -234,11 +310,8 @@ def synth_traffic(params: SynthParams) -> list[TrafficProfile]:
         for t in range(SLOTS_PER_DAY):
             loads[:, t] += static + slot_std * smooth_field().ravel()
         np.clip(loads, 0.0, 1.0, out=loads)
-    return [
-        TrafficProfile(i + 1, grid_centroid(i + 1, side, params.cell_size_m),
-                       tuple(float(v) for v in loads[i]))
-        for i in range(side * side)
-    ]
+    ids = np.arange(1, side * side + 1, dtype=np.int64)
+    return Corpus(ids, grid_centroids(ids, side, params.cell_size_m), loads)
 
 
 def iter_cdr_file(path):
@@ -255,7 +328,7 @@ def ingest_dataset(
     grid_side: int,
     cell_size_m: float = DEFAULT_CELL_SIZE_M,
     day_count: int | None = None,
-) -> list[TrafficProfile]:
+) -> Corpus:
     """Parse every CDR file under a directory into normalized profiles.
 
     With day_count=None the number of days is inferred from the distinct
@@ -280,28 +353,41 @@ def ingest_dataset(
     return normalize_profiles(raw, grid_side, cell_size_m)
 
 
-def save_profile_cache(profiles: list[TrafficProfile], path) -> None:
-    """Write profiles as a CSV cache: cell_id, x_m, y_m, s000..s143."""
+def save_profile_cache(corpus: Corpus, path) -> None:
+    """Write a corpus as a CSV cache: cell_id, x_m, y_m, s000..s143."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_id", "x_m", "y_m"] + [f"s{t:03d}" for t in range(SLOTS_PER_DAY)])
-        for p in profiles:
-            writer.writerow([p.cell_id, repr(float(p.position[0])), repr(float(p.position[1]))]
-                            + [repr(float(v)) for v in p.slots])
+        fh.write(",".join(CACHE_HEADER) + "\n")
+        for cell_id, (x, y), slots in zip(corpus.ids.tolist(), corpus.xy.tolist(), corpus.loads):
+            fh.write(f"{cell_id},{x!r},{y!r},{','.join(map(repr, slots.tolist()))}\n")
 
 
-def load_profile_cache(path) -> list[TrafficProfile]:
-    """Read a profile cache written by save_profile_cache."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["cell_id", "x_m", "y_m"]:
-            raise NormalizationError(f"not a profile cache: {path}")
-        for row in reader:
-            out.append(TrafficProfile(
-                int(row[0]),
-                (float(row[1]), float(row[2])),
-                tuple(float(v) for v in row[3:]),
-            ))
-    return out
+def load_profile_cache(path) -> Corpus:
+    """Read a profile cache written by save_profile_cache.
+
+    An unreadable file, a wrong header, a ragged or non-numeric row, a
+    non-integer or repeated cell id, and a non-finite or out-of-range value
+    raise NormalizationError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n").split(",") != CACHE_HEADER:
+                raise NormalizationError(f"not a profile cache: {path}: the header must be "
+                                         f"cell_id,x_m,y_m,s000..s{SLOTS_PER_DAY - 1:03d}")
+            with warnings.catch_warnings():
+                # a header without rows is reported below, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except OSError as exc:
+        raise NormalizationError(f"cannot read profile cache {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        # numpy's advice after the semicolon (`usecols`) does not apply to a cache
+        raise NormalizationError(f"{path}: {str(exc).split(';')[0]}") from None
+    if table.size == 0:
+        raise NormalizationError(f"{path}: no cell profiles")
+    ids = table[:, 0]
+    if not (np.isfinite(ids) & (ids == np.rint(ids))).all():
+        raise NormalizationError(f"{path}: cell ids must be integers")
+    try:
+        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:])
+    except NormalizationError as exc:
+        raise NormalizationError(f"{path}: {exc}") from None

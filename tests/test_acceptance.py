@@ -15,6 +15,7 @@ from vhetsim.config import resolve_config
 from vhetsim.errors import InfeasibleTransitionError
 from vhetsim.estimate import (
     CellLoad,
+    CellPool,
     elbow_g,
     estimate_weighted,
     mlc_estimate,
@@ -141,22 +142,22 @@ def weighted_error_table():
     """Mean relative estimation error per (N, n) on the correlated corpus."""
     params = SynthParams(grid_side=24, spatial_correlation_length=4 * 235.0,
                          noise_std=0.3, seed=11)
-    profiles = synth_traffic(params)
+    corpus = synth_traffic(params)
     rng = np.random.default_rng(11)
-    trials = [(int(rng.integers(len(profiles))), int(rng.integers(144)))
+    trials = [(int(rng.integers(len(corpus))), int(rng.integers(144)))
               for _ in range(300)]
     table = {}
     for N in (5, 20, 50):
         for n in (1, 3, 5, 10):
             errs = []
             for idx, slot in trials:
-                target_profile = profiles[idx]
-                lam_true = target_profile.slots[slot]
+                lam_true = float(corpus.loads[idx, slot])
                 if lam_true == 0.0:
                     continue
-                pool = [CellLoad(p.cell_id, p.position, p.slots[slot])
-                        for p in profiles if p.cell_id != target_profile.cell_id]
-                target = CellLoad(target_profile.cell_id, target_profile.position, 0.0)
+                others = np.arange(len(corpus)) != idx
+                pool = CellPool(corpus.ids[others], corpus.xy[others], corpus.loads[others, slot])
+                x, y = corpus.xy[idx].tolist()
+                target = CellLoad(int(corpus.ids[idx]), (x, y), 0.0)
                 lam_hat = estimate_weighted(rank_neighbors(target, pool, N), n)
                 errs.append(abs(lam_true - lam_hat) / lam_true)
             table[N, n] = float(np.mean(errs))

@@ -6,7 +6,7 @@ import pytest
 from vhetsim.cli import main
 from vhetsim.config import apply_overrides, load_config, resolve_config
 from vhetsim.errors import ConfigError
-from vhetsim.experiment import run_experiment
+from vhetsim.experiment import load_corpus, run_experiment
 from vhetsim.ingest import (
     SynthParams,
     load_profile_cache,
@@ -230,6 +230,60 @@ class TestCli:
                      "--grid-side", "2"]) == 0
         assert "4 cell profiles" in capsys.readouterr().out
         assert len(load_profile_cache(cache)) == 4
+
+    def test_bad_cache_clean_exit(self, tmp_path, capsys):
+        cache = tmp_path / "cache.csv"
+        save_profile_cache(synth_traffic(SynthParams(grid_side=3, spatial_correlation_length=235.0,
+                                                     noise_std=0.1, seed=5)), cache)
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        fields[10] = "nan"
+        lines[2] = ",".join(fields)
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = base_raw(dataset=str(cache), grid_side=3)
+        del raw["synth"]
+        assert main(["simulate", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
+
+    def test_ingest_non_finite_clean_exit(self, tmp_path, capsys):
+        data = tmp_path / "cdr"
+        data.mkdir()
+        (data / "day1.txt").write_text("1\t0\t39\t1.0\n2\t0\t39\tnan\n", encoding="utf-8")
+        assert main(["ingest", "--dataset", str(data), "--cache", str(tmp_path / "c.csv"),
+                     "--grid-side", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: non-finite") and "Traceback" not in err
+
+    def test_sweep_loads_corpus_once(self, tmp_path, monkeypatch):
+        import vhetsim.cli
+
+        calls = []
+
+        def counting_load(config):
+            calls.append(config.synth)
+            return load_corpus(config)
+
+        monkeypatch.setattr(vhetsim.cli, "load_corpus", counting_load)
+        assert main(["sweep", "--config", str(self.write_config(tmp_path)), "--out", str(tmp_path / "s"),
+                     "--vary", "estimator.method=distance_weighted,random_unweighted,mlc"]) == 0
+        assert len(calls) == 1
+        assert main(["sweep", "--config", str(self.write_config(tmp_path)), "--out", str(tmp_path / "t"),
+                     "--vary", "synth.seed=3,4", "--vary", "estimator.neighbor_count=3,5"]) == 0
+        assert len(calls) == 3
+
+    def test_sweep_outputs_unchanged(self, tmp_path):
+        cfg_path = self.write_config(tmp_path)
+        methods = ("distance_weighted", "random_unweighted", "mlc")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s"),
+                     "--vary", f"estimator.method={','.join(methods)}"]) == 0
+        for method in methods:
+            # each point on its own, with its own corpus load
+            config = apply_overrides(load_config(cfg_path), {"estimator.method": method})
+            alone = emit_report(run_experiment(config), tmp_path / f"alone-{method}")
+            swept = tmp_path / "s" / f"run_estimator-method={method}"
+            for name in ("rows", "summary"):
+                assert (swept / alone[name].name).read_bytes() == alone[name].read_bytes()
 
     def test_error_exit_code(self, tmp_path, capsys):
         raw = base_raw()

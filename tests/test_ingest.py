@@ -1,16 +1,22 @@
+import csv
+
 import numpy as np
 import pytest
 
 from vhetsim.errors import CdrParseError, NormalizationError
 from vhetsim.ingest import (
+    Corpus,
     SynthParams,
+    TrafficProfile,
     aggregate_records,
     build_daily_profile,
     cdr_line,
     grid_centroid,
+    load_profile_cache,
     merge_aggregates,
     normalize_profiles,
     parse_cdr_line,
+    save_profile_cache,
     synth_traffic,
 )
 
@@ -40,6 +46,12 @@ class TestParseCdrLine:
     def test_too_few_fields(self):
         with pytest.raises(CdrParseError):
             parse_cdr_line("1\t1383260400000")
+
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_activity_rejected(self, raw):
+        with pytest.raises(CdrParseError, match="non-finite") as err:
+            parse_cdr_line(f"1\t1383260400000\t39\t0.5\t{raw}", line_number=9)
+        assert err.value.line_number == 9
 
     def test_roundtrip_preserves_activity_mass(self):
         line = "42\t1383260400000\t39\t0.1\t0.2\t\t0.3\t1.5"
@@ -190,3 +202,95 @@ class TestSynthTraffic:
         stderr = np.sqrt(np.var(adjacent) / len(adjacent) + np.var(far) / len(far))
         # one-sided test at far better than the 0.01 level
         assert diff > 3 * stderr
+
+
+def small_corpus():
+    return synth_traffic(SynthParams(grid_side=3, spatial_correlation_length=235.0,
+                                     noise_std=0.2, seed=5))
+
+
+class TestCorpus:
+    def test_items_are_traffic_profiles(self):
+        corpus = small_corpus()
+        items = list(corpus)
+        assert len(corpus) == len(items) == 9
+        assert all(isinstance(p, TrafficProfile) for p in items)
+        assert items[4] == corpus[4]
+        assert items[0].position == grid_centroid(1, 3)
+        assert isinstance(items[0].position, tuple) and isinstance(items[0].slots, tuple)
+        assert items[0].slots == tuple(corpus.loads[0].tolist())
+        assert corpus[-1].cell_id == 9
+
+    def test_arrays_are_read_only(self):
+        corpus = small_corpus()
+        with pytest.raises(ValueError):
+            corpus.loads[0, 0] = 0.5
+
+    def test_equality_compares_values(self):
+        assert small_corpus() == small_corpus()
+        other = small_corpus().loads.copy()
+        other[2, 7] = 0.0 if other[2, 7] else 0.5
+        assert Corpus(np.arange(1, 10), small_corpus().xy, other) != small_corpus()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda ids, xy, loads: (ids, xy, loads[:, :143]), "load factors"),
+        (lambda ids, xy, loads: (ids.astype(float), xy, loads), "integers"),
+        (lambda ids, xy, loads: (ids, xy, np.where(loads == loads[1, 3], np.nan, loads)), "non-finite"),
+        (lambda ids, xy, loads: (ids, xy, loads + 1.0), "outside"),
+        (lambda ids, xy, loads: (np.r_[ids[:-1], 1], xy, loads), "duplicate cell id 1"),
+        (lambda ids, xy, loads: (ids[:0], xy[:0], loads[:0]), "empty"),
+    ])
+    def test_bad_values_rejected(self, change, message):
+        c = small_corpus()
+        with pytest.raises(NormalizationError, match=message):
+            Corpus(*change(c.ids, c.xy, c.loads))
+
+
+def csv_writer_cache(corpus, path):
+    """The earlier cache writer, kept as the reference for the file's bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["cell_id", "x_m", "y_m"] + [f"s{t:03d}" for t in range(144)])
+        for p in corpus:
+            writer.writerow([p.cell_id, repr(float(p.position[0])), repr(float(p.position[1]))]
+                            + [repr(float(v)) for v in p.slots])
+
+
+class TestProfileCache:
+    def test_bytes_unchanged(self, tmp_path):
+        corpus = small_corpus()
+        save_profile_cache(corpus, tmp_path / "new.csv")
+        csv_writer_cache(corpus, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def write_edited(self, tmp_path, edit):
+        path = tmp_path / "cache.csv"
+        save_profile_cache(small_corpus(), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def set_field(lines, row, column, value):
+        fields = lines[row].split(",")
+        fields[column] = value
+        return lines[:row] + [",".join(fields)] + lines[row + 1:]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: [ls[0].replace("cell_id", "id")] + ls[1:], "not a profile cache"),
+        (lambda ls: [ls[0].replace(",s143", "")] + ls[1:], "not a profile cache"),
+        (lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:], "columns"),
+        (lambda ls: TestProfileCache.set_field(ls, 3, 40, "abc"), "abc"),
+        (lambda ls: TestProfileCache.set_field(ls, 3, 40, ""), "convert"),
+        (lambda ls: TestProfileCache.set_field(ls, 2, 5, "nan"), "non-finite"),
+        (lambda ls: TestProfileCache.set_field(ls, 2, 5, "inf"), "non-finite"),
+        (lambda ls: TestProfileCache.set_field(ls, 2, 1, "-inf"), "non-finite"),
+        (lambda ls: TestProfileCache.set_field(ls, 4, 9, "1.5"), "outside"),
+        (lambda ls: TestProfileCache.set_field(ls, 4, 9, "-0.25"), "outside"),
+        (lambda ls: TestProfileCache.set_field(ls, 5, 0, "2"), "duplicate cell id 2"),
+        (lambda ls: TestProfileCache.set_field(ls, 5, 0, "2.5"), "integers"),
+        (lambda ls: ls[:1], "no cell profiles"),
+    ])
+    def test_bad_cache_rejected(self, tmp_path, edit, message):
+        with pytest.raises(NormalizationError, match=message):
+            load_profile_cache(self.write_edited(tmp_path, edit))
