@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .estimate import EstimatorSpec
 from .ingest import SLOTS_PER_DAY, SynthParams, DEFAULT_CELL_SIZE_M
 from .power import PowerParams
+from .switching import DEFAULT_EXHAUSTIVE_LIMIT
 
 OPTIMIZERS = ("greedy", "exhaustive")
 SINK_MODES = ("HAPS_only", "MBS_and_HAPS")
@@ -60,10 +61,9 @@ class ExperimentConfig:
     lambda_th: float = 0.1
     optimizer: str = "greedy"
     offload_sinks: str = "MBS_and_HAPS"
-    exhaustive_limit: int = 14
+    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
     grid_side: int = 100
     cell_size_m: float = DEFAULT_CELL_SIZE_M
-    mlc_mean_includes_estimates: bool = False
     cluster_features: str = "scalar"
     seed: int = 0
     output: str | None = None
@@ -107,8 +107,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         "dataset", "synth", "sbs_count", "iteration_count", "slot_count",
         "estimator", "power", "capacity", "base_load", "lambda_th",
         "optimizer", "offload_sinks", "exhaustive_limit", "grid_side",
-        "cell_size_m", "mlc_mean_includes_estimates", "cluster_features",
-        "seed", "output",
+        "cell_size_m", "cluster_features", "seed", "output",
     }
     unknown = set(raw) - known
     if unknown:
@@ -167,10 +166,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         lambda_th=float(raw.get("lambda_th", 0.1)),
         optimizer=raw.get("optimizer", "greedy"),
         offload_sinks=raw.get("offload_sinks", "MBS_and_HAPS"),
-        exhaustive_limit=int(raw.get("exhaustive_limit", 14)),
+        exhaustive_limit=int(raw.get("exhaustive_limit", DEFAULT_EXHAUSTIVE_LIMIT)),
         grid_side=int(raw.get("grid_side", 100)),
         cell_size_m=float(raw.get("cell_size_m", DEFAULT_CELL_SIZE_M)),
-        mlc_mean_includes_estimates=bool(raw.get("mlc_mean_includes_estimates", False)),
         cluster_features=raw.get("cluster_features", "scalar"),
         seed=int(raw.get("seed", 0)),
         output=raw.get("output"),
@@ -204,12 +202,7 @@ def load_config(path) -> ExperimentConfig:
 
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     """Re-resolve the config with dotted-path overrides (e.g. estimator.n...)."""
-    from .ingest import default_diurnal_profile
-
     data = config.to_dict()
-    if data["synth"] is not None and config.synth is not None:
-        if tuple(config.synth.temporal_profile) == default_diurnal_profile():
-            data["synth"].pop("temporal_profile", None)
     for dotted, value in overrides.items():
         node = data
         parts = dotted.split(".")

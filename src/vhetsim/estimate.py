@@ -220,15 +220,6 @@ class ClusterModel:
     sse_history: tuple[float, ...] = ()
 
 
-def sse(points, model: ClusterModel) -> float:
-    """Sum of squared distances of each point to its assigned centroid."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
-    if len(model.assignment) != len(pts):
-        raise ValueError("every point needs a cluster assignment")
-    centroids = np.asarray(model.centroids)
-    return float(((pts - centroids[list(model.assignment)]) ** 2).sum())
-
-
 def _plus_plus_init(pts: np.ndarray, g: int, rng: np.random.Generator) -> np.ndarray:
     centroids = [pts[rng.integers(len(pts))]]
     d2 = None
@@ -413,21 +404,24 @@ def mlc_estimate(
     layers: int,
     clusters: int | str = "elbow",
     seed: int = 0,
-    mean_includes_estimates: bool = False,
     g_range=DEFAULT_G_RANGE,
     features=None,
 ) -> np.ndarray:
     """Multi-level clustering estimation for every sleeping cell.
 
     `loads` holds the current load of active cells and an initial guess for
-    sleeping ones (caller supplies e.g. the last observed value). Each layer
-    clusters the current values with k-means and replaces every sleeper's
-    value with its cluster's mean active load; a cluster without any active
-    member falls back to the global active mean.
+    sleeping ones (caller supplies e.g. the last observed value). A layer
+    clusters the cells with k-means and replaces every sleeper's value with
+    its cluster's mean active load; a cluster without any active member falls
+    back to the global active mean.
 
-    With `features` (one row per cell, e.g. full daily profiles) clustering
-    runs on that static matrix instead of the evolving load values, in which
-    case layers beyond the first are no-ops.
+    Without `features`, layer l (0-based) clusters the current scalar values,
+    sleepers' estimates from the layer before included, with seed `seed + l`.
+    With `features` (one row per cell, e.g. full daily profiles) every layer
+    would cluster the same static matrix, and each overwrites every sleeper
+    from the active means alone, so only the last layer is run: `layers`
+    then only picks its seed, `seed + layers - 1`. The elbow search for the
+    cluster count always uses `seed`.
 
     Returns the full load vector with sleepers replaced by their estimates.
     """
@@ -453,13 +447,14 @@ def mlc_estimate(
     else:
         g = int(clusters)
     g = min(g, len(lam))
-    for layer in range(layers):
+    first = 0 if feature_matrix is None else layers - 1
+    for layer in range(first, layers):
         model = kmeans_cluster(feature_matrix if feature_matrix is not None else lam,
                                g, seed + layer)
         assignment = np.asarray(model.assignment)
         for cluster in range(g):
             members = assignment == cluster
-            source = members if mean_includes_estimates else (members & active)
+            source = members & active
             mean = float(lam[source].mean()) if source.any() else global_mean
             lam[members & ~active] = mean
     return np.clip(lam, 0.0, 1.0)

@@ -118,7 +118,6 @@ def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,
             layers=spec.layer_count,
             clusters=spec.cluster_count,
             seed=seed,
-            mean_includes_estimates=config.mlc_mean_includes_estimates,
             features=corpus.loads if config.cluster_features == "profile" else None,
         )
         return {j: float(estimated[row]) for j, row in zip(sleepers, sleeper_rows)}

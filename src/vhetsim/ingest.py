@@ -207,40 +207,14 @@ def cdr_line(record: CdrRecord) -> str:
     )
 
 
-def aggregate_records(records) -> dict[tuple[int, int], float]:
-    """Sum activity over country codes into (square_id, slot_of_day) totals."""
-    totals: dict[tuple[int, int], float] = {}
-    for rec in records:
-        key = (rec.square_id, rec.slot_of_day)
-        totals[key] = totals.get(key, 0.0) + rec.activity
-    return totals
-
-
-def merge_aggregates(*maps) -> dict[tuple[int, int], float]:
-    """Merge shard-local aggregate maps (file-parallel ingestion)."""
-    merged: dict[tuple[int, int], float] = {}
-    for m in maps:
-        for key, value in m.items():
-            merged[key] = merged.get(key, 0.0) + value
-    return merged
-
-
-def build_daily_profile(
-    aggregates: dict[tuple[int, int], float],
-    day_count: int,
-    squares=None,
-) -> dict[int, np.ndarray]:
+def build_daily_profile(aggregates: dict[tuple[int, int], float], day_count: int) -> dict[int, np.ndarray]:
     """Average slot totals over the observation days; missing slots are 0.
 
-    `squares` optionally fixes the cell universe; cells without any record get
-    an all-zero profile. By default only cells present in the aggregates appear.
+    Only cells present in the aggregates appear.
     """
     if day_count < 1:
         raise ValueError("day_count must be >= 1")
     profiles: dict[int, np.ndarray] = {}
-    if squares is not None:
-        for square in squares:
-            profiles[square] = np.zeros(SLOTS_PER_DAY)
     for (square, slot), total in aggregates.items():
         vec = profiles.setdefault(square, np.zeros(SLOTS_PER_DAY))
         vec[slot] = total / day_count
@@ -257,12 +231,6 @@ def grid_centroids(square_ids, grid_side: int, cell_size_m: float = DEFAULT_CELL
         raise ValueError(f"square_id {ids[outside][0]} outside [1, {grid_side * grid_side}]")
     row, col = np.divmod(ids - 1, grid_side)
     return np.column_stack([(col + 0.5) * cell_size_m, (row + 0.5) * cell_size_m])
-
-
-def grid_centroid(square_id: int, grid_side: int, cell_size_m: float = DEFAULT_CELL_SIZE_M) -> tuple[float, float]:
-    """Row-major square grid: id 1 is the (0, 0) corner cell."""
-    x, y = grid_centroids([square_id], grid_side, cell_size_m)[0].tolist()
-    return (x, y)
 
 
 def normalize_profiles(
@@ -340,6 +308,8 @@ def ingest_dataset(
     )
     if not paths:
         raise NormalizationError(f"no CDR files found under {dataset_dir}")
+    # activity summed over country codes and days into (square_id, slot_of_day)
+    # totals, one file's shard at a time
     totals: dict[tuple[int, int], float] = {}
     days: set[int] = set()
     for path in paths:
@@ -348,7 +318,8 @@ def ingest_dataset(
             days.add(rec.time_interval // DAY_MS)
             key = (rec.square_id, rec.slot_of_day)
             shard[key] = shard.get(key, 0.0) + rec.activity
-        totals = merge_aggregates(totals, shard)
+        for key, value in shard.items():
+            totals[key] = totals.get(key, 0.0) + value
     raw = build_daily_profile(totals, day_count if day_count is not None else max(len(days), 1))
     return normalize_profiles(raw, grid_side, cell_size_m)
 

@@ -66,13 +66,6 @@ def decision_change_rate(delta_true, delta_est) -> float:
     return sum(a != b for a, b in zip(bits_true, bits_est)) / len(bits_true)
 
 
-def threshold_policy(lambda_hat: float, policy: ThresholdPolicy) -> bool:
-    """ON iff the estimated load strictly exceeds the threshold."""
-    if not 0.0 <= lambda_hat <= 1.0:
-        raise ValueError(f"estimated load {lambda_hat} outside [0, 1]")
-    return lambda_hat > policy.lambda_th
-
-
 def empirical_p_err(samples, policy: ThresholdPolicy) -> tuple[float | None, float | None]:
     """Empirical over/under-estimation probabilities around the threshold.
 

@@ -122,11 +122,6 @@ def total_power(net: Network, switch, loads: NetworkLoadState) -> float:
     return p
 
 
-def estimated_power(net: Network, switch, estimated_loads: NetworkLoadState) -> float:
-    """Same expression as total_power, evaluated on estimated load factors."""
-    return total_power(net, switch, estimated_loads)
-
-
 def expected_power(p_est: float, p_true: float, p_err: float) -> float:
     """Error-probability mix of estimated and true network power."""
     if not 0.0 <= p_err <= 1.0:

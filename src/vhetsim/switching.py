@@ -42,13 +42,6 @@ class SwitchVector:
     def all_on(cls, s: int) -> "SwitchVector":
         return cls(delta=(1,) * s)
 
-    def target_for(self, j: int) -> str:
-        return dict(self.offload_target)[j]
-
-    @property
-    def num_on(self) -> int:
-        return sum(self.delta)
-
 
 def relative_capacity(sbs, sink) -> float:
     """phi = C_sbs / C_sink: SBS load-factor units per sink load-factor unit."""

@@ -4,7 +4,6 @@ import pytest
 from vhetsim.errors import DegenerateDistanceError, InsufficientNeighborsError
 from vhetsim.estimate import (
     CellLoad,
-    ClusterModel,
     EstimatorSpec,
     Neighbor,
     NeighborSet,
@@ -15,7 +14,6 @@ from vhetsim.estimate import (
     mlc_estimate,
     rank_neighbors,
     select_random,
-    sse,
     weight_factor,
 )
 
@@ -182,18 +180,13 @@ class TestEstimateWeighted:
 
 
 class TestSse:
+    """The SSE that kmeans_cluster reports with its model."""
+
     def test_points_on_centroids(self):
-        model = ClusterModel(((1.0,), (2.0,)), (0, 1), 0.0)
-        assert sse([1.0, 2.0], model) == 0.0
+        assert kmeans_cluster([1.0, 2.0], 2, seed=0).sse == 0.0
 
     def test_hand_value(self):
-        model = ClusterModel(((1.0,),), (0, 0), 2.0)
-        assert sse([0.0, 2.0], model) == pytest.approx(2.0)
-
-    def test_unassigned_point(self):
-        model = ClusterModel(((1.0,),), (0,), 0.0)
-        with pytest.raises(ValueError):
-            sse([0.0, 2.0], model)
+        assert kmeans_cluster([0.0, 2.0], 1, seed=0).sse == pytest.approx(2.0)
 
     def test_nonincreasing_in_g(self):
         rng = np.random.default_rng(21)
@@ -305,3 +298,14 @@ class TestMlcEstimate:
         out = mlc_estimate(loads, active, layers=1, clusters=2, seed=0, features=features)
         # feature space puts the sleeper with the low blob despite its 0.5 init
         assert out[4] == pytest.approx(0.11)
+
+    @pytest.mark.parametrize("seed", [0, 5, 41])
+    def test_profile_layers_pick_the_last_seed(self, seed):
+        # with static features only the last layer's clustering survives
+        rng = np.random.default_rng(seed)
+        features = rng.random((60, 6))
+        values = rng.random(60)
+        active = rng.random(60) > 0.3
+        deep = mlc_estimate(values, active, layers=3, clusters=4, seed=seed, features=features)
+        last = mlc_estimate(values, active, layers=1, clusters=4, seed=seed + 2, features=features)
+        assert deep.tobytes() == last.tobytes()

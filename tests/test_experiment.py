@@ -42,6 +42,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             resolve_config(base_raw(bogus=1))
 
+    def test_removed_mlc_knob_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'mlc_mean_includes_estimates'"):
+            resolve_config(base_raw(mlc_mean_includes_estimates=False))
+
     def test_unknown_nested_key_rejected(self):
         raw = base_raw()
         raw["estimator"]["typo"] = 1
@@ -82,6 +86,12 @@ class TestConfig:
         cfg = resolve_config(base_raw())
         out = apply_overrides(cfg, {"estimator.neighbor_count": 9, "seed": 5})
         assert out.estimator.neighbor_count == 9 and out.seed == 5
+
+    def test_apply_overrides_keeps_default_profile(self):
+        # the echoed default diurnal profile re-resolves to the same parameters
+        cfg = resolve_config(base_raw())
+        out = apply_overrides(cfg, {})
+        assert out == cfg and out.to_yaml() == cfg.to_yaml()
 
     def test_apply_overrides_unknown_path(self):
         cfg = resolve_config(base_raw())

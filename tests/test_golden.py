@@ -1,9 +1,11 @@
 """Golden outputs: sha256 of rows.csv and summary.json for small fixed configs.
 
-The digests were recorded before the corpus became an array type and the
-neighbour and k-means kernels were vectorised; those changes must leave every
-output byte as it was. A digest changes only with an intended output change,
-and that change is named in CHANGES.md.
+The rows.csv digests were recorded before the corpus became an array type and
+the neighbour and k-means kernels were vectorised; those changes must leave
+every output byte as it was. A digest changes only with an intended output
+change, and that change is named in CHANGES.md. Every config names its
+optimizer, so a change of the default cannot silently change what a digest
+guards.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ def _raw(estimator, **extra):
         "estimator": {"seed": 3, **estimator},
         "iteration_count": 2,
         "slot_count": 12,
+        "optimizer": "greedy",
         "seed": 11,
     }
     raw.update(extra)
@@ -42,24 +45,30 @@ CONFIGS = {
                          offload_sinks="HAPS_only"),
     "mlc_profile": _raw({"method": "mlc", "cluster_count": 3, "layer_count": 2},
                         cluster_features="profile"),
+    "exhaustive_s5": _raw({"method": "distance_weighted", "neighbor_count": 8,
+                           "distance_exponent": 3},
+                          optimizer="exhaustive", sbs_count=5, offload_sinks="MBS_and_HAPS"),
 }
 
 GOLDEN = {
     "distance_weighted": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                          "2aa66081fc7073398ec4fac0e65a7ea5090c9b5dbf0bcfa09dfc7f6782e63f20"),
+                          "e65446a772e172e13a30638c1b3fa6f4c936a5be11dae42e926ac71bed7fb071"),
     "distance_unweighted": ("048b89882ff1585a266c647014ab0a692b67428aced67fb22504334ad469596c",
-                            "66980336e90fb42eea348c40368ae8567660c077396ab15fbff163780ed724df"),
+                            "d4926387c347a84c994bf0ed71507ccf626cdb275294c3ac37db3a9f84c8c875"),
     "random_weighted": ("af94169e770521a2833a0399dc440de1b6c2c0953ebbe0943b84277a1474b5dc",
-                        "b7794b6e17d5e19d8b3c435c76519dd2faa28e5df0476d93ddf10b5a10479aeb"),
+                        "4e87526efb84843b77afd13baa41774e2a5f418fedf7056e98b42a89d4540026"),
     "random_unweighted": ("6be58065d71bf25868f5f53bf378e694cb65a8bddda6bacbdd4120d94faeea5f",
-                          "3f63c389557844ce07061290fdd317cc47cb664120d3df97f7704588c637640b"),
+                          "0f05d2946e4cc5b62b386be5cd4e75dd134c77a1397e3e3d97399bb038b57925"),
     "mlc_elbow_l2": ("2af24f84edb4e7ca49a27acf4803420b235e021dd496047d738dbaa4c6eaa1ca",
-                     "17e904712f243915c4aba2d6e87582cd2a68115880cbc466dc5574630f941ae5"),
+                     "f55a4226c61ab60466f9f47721e0f1fe56a4f9626751bc86e37f7c3bd909e6fe"),
     "mlc_profile": ("42f3ef3736dcbae5a0eac9002a8142830a57a8fa64a5e0e8190e19958093645e",
-                    "9dcf19329815e27b8f7cc09f978c494aa885775e5a0e1be4bce33b16f9acea5c"),
+                    "7b279d0b7d7dfb4b86c0086b27bf43d65f5f50d1884888f1ee8c9b67cb0a7704"),
+    # the exhaustive solver finds the greedy decisions on every slot here
+    "exhaustive_s5": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
+                      "686a86c08b54d4fcded8f4b81c2a9e6e7a429fb71429780cae29a4afd99b6536"),
     # same rows as distance_weighted: the cache holds the same corpus
     "cache_distance_weighted": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                                "fbe9cc93e8dd96e307e30acd417b64cd9bb836e7c7c370d80ffc08b9d6481bd4"),
+                                "0fd133f75bc0787051fcd3ea51bc939644f27a55909fa16ebaa2a583ff11bdca"),
 }
 
 

@@ -5,15 +5,15 @@ import pytest
 
 from vhetsim.errors import CdrParseError, NormalizationError
 from vhetsim.ingest import (
+    CdrRecord,
     Corpus,
     SynthParams,
     TrafficProfile,
-    aggregate_records,
     build_daily_profile,
     cdr_line,
-    grid_centroid,
+    grid_centroids,
+    ingest_dataset,
     load_profile_cache,
-    merge_aggregates,
     normalize_profiles,
     parse_cdr_line,
     save_profile_cache,
@@ -60,32 +60,50 @@ class TestParseCdrLine:
         assert again.activity == pytest.approx(rec.activity, abs=0)
 
 
+def write_cdr_dir(path, *files):
+    """A CDR directory with one file per list of records, named in read order."""
+    path.mkdir()
+    for i, records in enumerate(files):
+        (path / f"part{i}.txt").write_text("".join(cdr_line(r) + "\n" for r in records),
+                                           encoding="utf-8")
+    return path
+
+
 class TestAggregate:
-    def test_same_key_sums(self):
-        recs = [parse_cdr_line("5\t1383260400000\t39\t1.0"),
-                parse_cdr_line("5\t1383260400000\t40\t2.0")]
-        assert aggregate_records(recs) == {(5, recs[0].slot_of_day): 3.0}
+    """ingest_dataset sums activity into (square, slot of day) totals."""
 
-    def test_zero_activity_entry(self):
-        recs = [parse_cdr_line("5\t1383260400000\t39")]
-        assert list(aggregate_records(recs).values()) == [0.0]
+    def test_same_key_sums(self, tmp_path):
+        # square 6 holds the peak: square 5's two country codes sum to half of it
+        recs = [CdrRecord(5, 0, 39, sms_in=1.0), CdrRecord(5, 0, 40, sms_in=2.0),
+                CdrRecord(6, 0, 39, internet=6.0)]
+        corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3)
+        assert corpus.ids.tolist() == [5, 6]
+        assert corpus.loads[0, 0] == 0.5 and not corpus.loads[0, 1:].any()
 
-    def test_two_days_same_clock_slot(self):
-        # same slot of day, one day apart
-        recs = [parse_cdr_line("5\t0\t39\t2.0"),
-                parse_cdr_line(f"5\t{86_400_000}\t39\t4.0")]
-        agg = aggregate_records(recs)
-        assert agg == {(5, 0): 6.0}
+    def test_zero_activity_entry(self, tmp_path):
+        recs = [CdrRecord(5, 0, 39), CdrRecord(6, 0, 39, call_in=1.0)]
+        corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3)
+        assert corpus.ids.tolist() == [5, 6]
+        assert not corpus.loads[0].any()
 
-    def test_empty_stream(self):
-        assert aggregate_records([]) == {}
+    def test_two_days_same_clock_slot(self, tmp_path):
+        # same slot of day, one day apart: 6.0 over two days against a peak of 12.0 / 2
+        recs = [CdrRecord(5, 0, 39, sms_in=2.0), CdrRecord(5, 86_400_000, 39, sms_in=4.0),
+                CdrRecord(6, 600_000, 39, sms_in=12.0)]
+        corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3)
+        assert corpus.loads[0, 0] == 0.5 and not corpus.loads[0, 1:].any()
+        assert corpus.loads[1, 1] == 1.0
 
-    def test_merge_matches_single_pass(self):
-        recs = [parse_cdr_line(f"{sq}\t{slot * 600000}\t39\t1.5")
-                for sq in (1, 2) for slot in (0, 1, 2)]
-        whole = aggregate_records(recs)
-        merged = merge_aggregates(aggregate_records(recs[:3]), aggregate_records(recs[3:]))
-        assert merged == whole
+    def test_empty_stream(self, tmp_path):
+        with pytest.raises(NormalizationError, match="empty"):
+            ingest_dataset(write_cdr_dir(tmp_path / "cdr", []), grid_side=3)
+
+    def test_merge_matches_single_pass(self, tmp_path):
+        recs = [CdrRecord(sq, slot * 600000, 39, internet=0.1 * (sq + slot) + 1.5)
+                for sq in (1, 2) for slot in (0, 1, 2) for _ in range(3)]
+        whole = ingest_dataset(write_cdr_dir(tmp_path / "one", recs), grid_side=3)
+        shards = ingest_dataset(write_cdr_dir(tmp_path / "two", recs[:7], recs[7:]), grid_side=3)
+        assert shards == whole
 
 
 class TestDailyProfile:
@@ -97,10 +115,6 @@ class TestDailyProfile:
         prof = build_daily_profile({(5, 0): 3.0, (5, 1): 6.0}, day_count=3)
         assert prof[5][0] == 1.0 and prof[5][1] == 2.0
         assert not prof[5][2:].any()
-
-    def test_square_with_no_records(self):
-        prof = build_daily_profile({(5, 0): 3.0}, day_count=3, squares=[5, 6])
-        assert not prof[6].any()
 
     def test_zero_days_rejected(self):
         with pytest.raises(ValueError):
@@ -152,16 +166,16 @@ class TestNormalize:
 
 class TestGridCentroid:
     def test_corner_cell(self):
-        assert grid_centroid(1, 100, 235) == (117.5, 117.5)
+        assert grid_centroids([1], 100, 235).tolist() == [[117.5, 117.5]]
 
     def test_second_row(self):
-        assert grid_centroid(101, 100, 235) == (117.5, 352.5)
+        assert grid_centroids([101], 100, 235).tolist() == [[117.5, 352.5]]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            grid_centroid(0, 100)
+            grid_centroids([0], 100)
         with pytest.raises(ValueError):
-            grid_centroid(10001, 100)
+            grid_centroids([5, 10001], 100)
 
 
 class TestSynthTraffic:
@@ -216,7 +230,7 @@ class TestCorpus:
         assert len(corpus) == len(items) == 9
         assert all(isinstance(p, TrafficProfile) for p in items)
         assert items[4] == corpus[4]
-        assert items[0].position == grid_centroid(1, 3)
+        assert list(items[0].position) == grid_centroids([1], 3)[0].tolist()
         assert isinstance(items[0].position, tuple) and isinstance(items[0].slots, tuple)
         assert items[0].slots == tuple(corpus.loads[0].tolist())
         assert corpus[-1].cell_id == 9

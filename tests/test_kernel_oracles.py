@@ -23,7 +23,7 @@ from vhetsim.estimate import (
     select_random,
 )
 from vhetsim.errors import InsufficientNeighborsError
-from vhetsim.ingest import SynthParams, grid_centroid, synth_traffic
+from vhetsim.ingest import SynthParams, grid_centroids, synth_traffic
 
 
 def sorted_rank_neighbors(target, cells, n_neighbors):
@@ -93,8 +93,9 @@ def assert_same_model(got, want):
 
 
 def grid_cells(side, loads):
-    return [CellLoad(i, grid_centroid(i, side), float(load))
-            for i, load in zip(range(1, side * side + 1), loads)]
+    ids = range(1, side * side + 1)
+    return [CellLoad(i, (x, y), float(load))
+            for i, (x, y), load in zip(ids, grid_centroids(ids, side).tolist(), loads)]
 
 
 class TestRankNeighbors:
@@ -107,7 +108,7 @@ class TestRankNeighbors:
             gone = set(rng.choice(side * side, size=int(rng.integers(0, 60)), replace=False) + 1)
             pool = [c for c in cells if c.cell_id not in gone]
             target_id = int(rng.integers(1, side * side + 1))
-            target = CellLoad(target_id, grid_centroid(target_id, side), 0.0)
+            target = cells[target_id - 1]._replace(load=0.0)
             for n in (1, 4, 5, 8, 9, 12, 21, 60):
                 want = sorted_rank_neighbors(target, pool, n)
                 assert rank_neighbors(target, pool, n) == want

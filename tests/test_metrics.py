@@ -11,7 +11,6 @@ from vhetsim.metrics import (
     empirical_p_err,
     estimation_error,
     mean_estimation_error,
-    threshold_policy,
 )
 from vhetsim.switching import HAPS, SwitchVector
 
@@ -84,25 +83,23 @@ class TestDecisionChangeRate:
 
 
 class TestThresholdPolicy:
+    """An estimate turns a truly-low cell ON iff it strictly exceeds the threshold."""
+
     def test_boundary_is_off(self):
         policy = ThresholdPolicy(0.1)
-        assert threshold_policy(0.1, policy) is False
+        assert empirical_p_err([(0.05, 0.1)], policy) == (0.0, None)
 
     def test_high_is_on(self):
-        assert threshold_policy(1.0, ThresholdPolicy(0.1)) is True
+        assert empirical_p_err([(0.05, 1.0)], ThresholdPolicy(0.1)) == (1.0, None)
 
     def test_low_is_off(self):
-        assert threshold_policy(0.05, ThresholdPolicy(0.1)) is False
+        assert empirical_p_err([(0.05, 0.05)], ThresholdPolicy(0.1)) == (0.0, None)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             ThresholdPolicy(0.0)
         with pytest.raises(ValueError):
             ThresholdPolicy(1.0)
-
-    def test_invalid_estimate(self):
-        with pytest.raises(ValueError):
-            threshold_policy(1.2, ThresholdPolicy(0.1))
 
 
 class TestEmpiricalPErr:

@@ -8,7 +8,6 @@ from vhetsim.power import (
     PowerParams,
     Tier,
     bs_power,
-    estimated_power,
     expected_power,
     expected_switch_error,
     snap_load,
@@ -107,24 +106,14 @@ class TestTotalPower:
 
 
 class TestEstimatedPower:
-    def test_perfect_estimate_identity(self):
-        net = small_network(2)
-        loads = NetworkLoadState(0.1, 0.2, (0.5, 0.3))
-        sv = SwitchVector.all_on(2)
-        assert estimated_power(net, sv, loads) == total_power(net, sv, loads)
+    """total_power evaluated on estimated load factors."""
 
     def test_overestimate_shifts_by_eta_dlam_pt(self):
         net = small_network(1)
         sv = SwitchVector.all_on(1)
-        base = estimated_power(net, sv, NetworkLoadState(0.0, 0.0, (0.4,)))
-        bumped = estimated_power(net, sv, NetworkLoadState(0.0, 0.0, (0.5,)))
+        base = total_power(net, sv, NetworkLoadState(0.0, 0.0, (0.4,)))
+        bumped = total_power(net, sv, NetworkLoadState(0.0, 0.0, (0.5,)))
         assert bumped - base == pytest.approx(5.0 * 0.1 * 20.0)
-
-    def test_sleeper_estimate_irrelevant(self):
-        net = small_network(1)
-        sv = SwitchVector((0,), ((0, "HAPS"),))
-        loads = NetworkLoadState(0.1, 0.0, (0.0,))
-        assert estimated_power(net, sv, loads) == total_power(net, sv, loads)
 
 
 class TestExpectedPower:

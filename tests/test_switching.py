@@ -32,7 +32,7 @@ def make_net(n_sbs, c_sbs=10.0, c_mbs=50.0, c_haps=50.0):
 class TestSwitchVector:
     def test_all_on(self):
         sv = SwitchVector.all_on(3)
-        assert sv.delta == (1, 1, 1) and sv.offload_target == () and sv.num_on == 3
+        assert sv.delta == (1, 1, 1) and sv.offload_target == ()
 
     def test_targets_must_cover_sleepers(self):
         with pytest.raises(ValueError):
@@ -49,8 +49,8 @@ class TestSwitchVector:
             SwitchVector((0,), ((0, "SAT"),))
 
     def test_target_for(self):
-        sv = SwitchVector((0, 1, 0), ((0, HAPS), (2, MBS)))
-        assert sv.target_for(0) == HAPS and sv.target_for(2) == MBS
+        sv = SwitchVector((0, 1, 0), ((2, MBS), (0, HAPS)))
+        assert sv.offload_target == ((0, HAPS), (2, MBS))
 
 
 class TestRelativeCapacity:
