@@ -7,7 +7,9 @@ above SBS transmit power); they are not measured values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
+from numbers import Real
 
 import yaml
 
@@ -93,10 +95,26 @@ def _merge_section(name: str, defaults: dict, given, required=()) -> dict:
     if unknown:
         raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
     merged = {**defaults, **given}
+    for key, value in merged.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name}.{key} must be finite, got {value!r}")
     for key in required:
         if merged.get(key) is None:
             raise ConfigError(f"missing required key '{name}.{key}'")
     return merged
+
+
+def _number(raw: dict, key: str, kind: type, default):
+    """`raw[key]`, or the default, as an int or a finite float."""
+    value = raw.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
@@ -121,7 +139,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     est = _merge_section("estimator", DEFAULT_ESTIMATOR, raw.get("estimator"), required=("method",))
     try:
         estimator = EstimatorSpec(**est)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"estimator: {exc}") from None
 
     synth = None
@@ -134,7 +152,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             del sy["temporal_profile"]
         try:
             synth = SynthParams(**sy)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"synth: {exc}") from None
 
     power = {
@@ -144,33 +162,35 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     for tier, params in power.items():
         try:
             PowerParams(**params)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"power.{tier}: {exc}") from None
     capacity = _merge_section("capacity", DEFAULT_CAPACITY, raw.get("capacity"))
-    if any(c <= 0 for c in capacity.values()):
-        raise ConfigError("capacities must be > 0")
+    for tier, c in capacity.items():
+        if not (isinstance(c, Real) and c > 0):
+            raise ConfigError(f"capacity.{tier} must be a number > 0, got {c!r}")
     base_load = _merge_section("base_load", DEFAULT_BASE_LOAD, raw.get("base_load"))
-    if any(not 0.0 <= v <= 1.0 for v in base_load.values()):
-        raise ConfigError("base loads must lie in [0, 1]")
+    for tier, v in base_load.items():
+        if not (isinstance(v, Real) and 0.0 <= v <= 1.0):
+            raise ConfigError(f"base_load.{tier} must lie in [0, 1], got {v!r}")
 
     cfg = dict(
-        sbs_count=int(raw["sbs_count"]),
+        sbs_count=_number(raw, "sbs_count", int, None),
         estimator=estimator,
         dataset=raw.get("dataset"),
         synth=synth,
-        iteration_count=int(raw.get("iteration_count", 300)),
-        slot_count=int(raw.get("slot_count", SLOTS_PER_DAY)),
+        iteration_count=_number(raw, "iteration_count", int, 300),
+        slot_count=_number(raw, "slot_count", int, SLOTS_PER_DAY),
         power=power,
         capacity=capacity,
         base_load=base_load,
-        lambda_th=float(raw.get("lambda_th", 0.1)),
+        lambda_th=_number(raw, "lambda_th", float, 0.1),
         optimizer=raw.get("optimizer", "greedy"),
         offload_sinks=raw.get("offload_sinks", "MBS_and_HAPS"),
-        exhaustive_limit=int(raw.get("exhaustive_limit", DEFAULT_EXHAUSTIVE_LIMIT)),
-        grid_side=int(raw.get("grid_side", 100)),
-        cell_size_m=float(raw.get("cell_size_m", DEFAULT_CELL_SIZE_M)),
+        exhaustive_limit=_number(raw, "exhaustive_limit", int, DEFAULT_EXHAUSTIVE_LIMIT),
+        grid_side=_number(raw, "grid_side", int, 100),
+        cell_size_m=_number(raw, "cell_size_m", float, DEFAULT_CELL_SIZE_M),
         cluster_features=raw.get("cluster_features", "scalar"),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw, "seed", int, 0),
         output=raw.get("output"),
     )
     if cfg["sbs_count"] < 1:
@@ -179,6 +199,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("iteration_count must be >= 1")
     if not 1 <= cfg["slot_count"] <= SLOTS_PER_DAY:
         raise ConfigError(f"slot_count must lie in [1, {SLOTS_PER_DAY}]")
+    if cfg["cell_size_m"] <= 0:
+        raise ConfigError("cell_size_m must be > 0")
     if not 0.0 < cfg["lambda_th"] < 1.0:
         raise ConfigError("lambda_th must lie strictly inside (0, 1)")
     if cfg["optimizer"] not in OPTIMIZERS:
@@ -192,11 +214,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return resolve_config(raw or {})
 
 

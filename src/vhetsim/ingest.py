@@ -10,9 +10,14 @@ of arrays.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import hashlib
+import io
 import math
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -332,22 +337,47 @@ def save_profile_cache(corpus: Corpus, path) -> None:
             fh.write(f"{cell_id},{x!r},{y!r},{','.join(map(repr, slots.tolist()))}\n")
 
 
-def load_profile_cache(path) -> Corpus:
-    """Read a profile cache written by save_profile_cache.
+class _HashingReader(io.RawIOBase):
+    """A binary file that feeds every byte read through it into a sha256."""
 
-    An unreadable file, a wrong header, a ragged or non-numeric row, a
-    non-integer or repeated cell id, and a non-finite or out-of-range value
-    raise NormalizationError.
-    """
+    def __init__(self, raw):
+        self.raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+
+def _file_digest(path) -> str:
+    sha256 = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha256.update(chunk)
+    return sha256.hexdigest()
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _parse_profile_cache(path) -> tuple[Corpus, str]:
+    """Parse a cache CSV; returns the corpus and the sha256 of the bytes parsed."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n").split(",") != CACHE_HEADER:
-                raise NormalizationError(f"not a profile cache: {path}: the header must be "
-                                         f"cell_id,x_m,y_m,s000..s{SLOTS_PER_DAY - 1:03d}")
-            with warnings.catch_warnings():
-                # a header without rows is reported below, not as a warning
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        with open(path, "rb") as raw:
+            hashed = _HashingReader(raw)
+            with io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8") as fh:
+                if fh.readline().rstrip("\n").split(",") != CACHE_HEADER:
+                    raise NormalizationError(f"not a profile cache: {path}: the header must be "
+                                             f"cell_id,x_m,y_m,s000..s{SLOTS_PER_DAY - 1:03d}")
+                with warnings.catch_warnings():
+                    # a header without rows is reported below, not as a warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     except OSError as exc:
         raise NormalizationError(f"cannot read profile cache {path}: {exc.strerror}") from None
     except ValueError as exc:
@@ -359,6 +389,55 @@ def load_profile_cache(path) -> Corpus:
     if not (np.isfinite(ids) & (ids == np.rint(ids))).all():
         raise NormalizationError(f"{path}: cell ids must be integers")
     try:
-        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:])
+        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:]), hashed.sha256.hexdigest()
     except NormalizationError as exc:
         raise NormalizationError(f"{path}: {exc}") from None
+
+
+def _read_sidecar(path) -> Corpus | None:
+    """The corpus stored beside the cache under the cache's current digest,
+    or None when the sidecar is missing, stale or unreadable, or fails the
+    corpus checks."""
+    try:
+        data = np.load(_sidecar_path(path), allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            return None
+        with data:
+            if str(data["digest"]) != _file_digest(path):
+                return None
+            return Corpus(data["ids"], data["xy"], data["loads"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, NormalizationError):
+        return None
+
+
+def _write_sidecar(path, corpus: Corpus, digest: str) -> None:
+    """Store the corpus beside the cache; a failed write leaves no sidecar."""
+    sidecar = _sidecar_path(path)
+    partial = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as fh:
+            np.savez(fh, digest=np.array(digest), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        os.replace(partial, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+
+
+def load_profile_cache(path) -> Corpus:
+    """Read a profile cache written by save_profile_cache.
+
+    An unreadable file, a wrong header, a ragged or non-numeric row, a
+    non-integer or repeated cell id, and a non-finite or out-of-range value
+    raise NormalizationError.
+
+    The CSV is parsed once per content: the parsed arrays are stored beside
+    it in `<path>.npz`, keyed by the sha256 of the CSV bytes the parse read,
+    and a later call whose CSV has that digest reads the arrays instead.
+    A missing, stale or damaged sidecar only costs a parse, so deleting it
+    is always safe; a bad CSV never gets one.
+    """
+    corpus = _read_sidecar(path)
+    if corpus is None:
+        corpus, digest = _parse_profile_cache(path)
+        _write_sidecar(path, corpus, digest)
+    return corpus

@@ -93,6 +93,16 @@ class TestConfig:
         out = apply_overrides(cfg, {})
         assert out == cfg and out.to_yaml() == cfg.to_yaml()
 
+    @pytest.mark.parametrize("section, value, dotted", [
+        ("power", {"sbs": {"transmit_w": math.nan}}, "power.sbs.transmit_w"),
+        ("synth", {"grid_side": 6, "noise_std": math.nan}, "synth.noise_std"),
+        ("estimator", {"method": "distance_weighted", "distance_exponent": math.inf},
+         "estimator.distance_exponent"),
+    ])
+    def test_non_finite_section_value_rejected(self, section, value, dotted):
+        with pytest.raises(ConfigError, match=f"{dotted} must be finite"):
+            resolve_config(base_raw(**{section: value}))
+
     def test_apply_overrides_unknown_path(self):
         cfg = resolve_config(base_raw())
         with pytest.raises(ConfigError):
@@ -294,6 +304,24 @@ class TestCli:
             swept = tmp_path / "s" / f"run_estimator-method={method}"
             for name in ("rows", "summary"):
                 assert (swept / alone[name].name).read_bytes() == alone[name].read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(sbs_count="abc"), "sbs_count must be an integer, got 'abc'"),
+        (lambda raw: raw.update(capacity={"mbs": math.nan}), "capacity.mbs must be finite, got nan"),
+        (lambda raw: raw.update(cell_size_m=math.inf), "cell_size_m must be finite"),
+    ])
+    def test_bad_config_value_clean_exit(self, tmp_path, capsys, edit, message):
+        raw = base_raw()
+        edit(raw)
+        assert main(["simulate", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_missing_config_clean_exit(self, tmp_path, capsys):
+        missing = tmp_path / "absent.yaml"
+        assert main(["simulate", "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config {missing}: No such file or directory\n"
 
     def test_error_exit_code(self, tmp_path, capsys):
         raw = base_raw()

@@ -10,6 +10,7 @@ guards.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from vhetsim.config import resolve_config
@@ -83,7 +84,7 @@ def test_synthetic_outputs_unchanged(name, tmp_path):
     assert digests(CONFIGS[name], tmp_path / name) == GOLDEN[name]
 
 
-def test_cache_outputs_unchanged(tmp_path, monkeypatch):
+def cache_config(tmp_path, monkeypatch):
     # the same corpus read back from a profile cache; a relative dataset path
     # keeps the summary's config echo independent of the temporary directory
     monkeypatch.chdir(tmp_path)
@@ -92,4 +93,19 @@ def test_cache_outputs_unchanged(tmp_path, monkeypatch):
     raw = _raw({"method": "distance_weighted", "neighbor_count": 8, "distance_exponent": 3},
                grid_side=10, dataset="cache.csv")
     del raw["synth"]
+    return raw
+
+
+def test_cache_outputs_unchanged(tmp_path, monkeypatch):
+    raw = cache_config(tmp_path, monkeypatch)
     assert digests(raw, tmp_path / "out") == GOLDEN["cache_distance_weighted"]
+
+
+def test_cache_sidecar_outputs_unchanged(tmp_path, monkeypatch):
+    # the first run parses the CSV and stores its arrays in cache.csv.npz;
+    # the second reads them from there without parsing
+    raw = cache_config(tmp_path, monkeypatch)
+    assert digests(raw, tmp_path / "first") == GOLDEN["cache_distance_weighted"]
+    assert (tmp_path / "cache.csv.npz").is_file()
+    monkeypatch.setattr(np, "loadtxt", None)
+    assert digests(raw, tmp_path / "second") == GOLDEN["cache_distance_weighted"]

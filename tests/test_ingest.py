@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -270,6 +271,29 @@ def csv_writer_cache(corpus, path):
                             + [repr(float(v)) for v in p.slots])
 
 
+def set_field(lines, row, column, value):
+    fields = lines[row].split(",")
+    fields[column] = value
+    return lines[:row] + [",".join(fields)] + lines[row + 1:]
+
+
+BAD_CACHE_EDITS = [
+    (lambda ls: [ls[0].replace("cell_id", "id")] + ls[1:], "not a profile cache"),
+    (lambda ls: [ls[0].replace(",s143", "")] + ls[1:], "not a profile cache"),
+    (lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:], "columns"),
+    (lambda ls: set_field(ls, 3, 40, "abc"), "abc"),
+    (lambda ls: set_field(ls, 3, 40, ""), "convert"),
+    (lambda ls: set_field(ls, 2, 5, "nan"), "non-finite"),
+    (lambda ls: set_field(ls, 2, 5, "inf"), "non-finite"),
+    (lambda ls: set_field(ls, 2, 1, "-inf"), "non-finite"),
+    (lambda ls: set_field(ls, 4, 9, "1.5"), "outside"),
+    (lambda ls: set_field(ls, 4, 9, "-0.25"), "outside"),
+    (lambda ls: set_field(ls, 5, 0, "2"), "duplicate cell id 2"),
+    (lambda ls: set_field(ls, 5, 0, "2.5"), "integers"),
+    (lambda ls: ls[:1], "no cell profiles"),
+]
+
+
 class TestProfileCache:
     def test_bytes_unchanged(self, tmp_path):
         corpus = small_corpus()
@@ -284,27 +308,102 @@ class TestProfileCache:
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         return path
 
-    @staticmethod
-    def set_field(lines, row, column, value):
-        fields = lines[row].split(",")
-        fields[column] = value
-        return lines[:row] + [",".join(fields)] + lines[row + 1:]
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda ls: [ls[0].replace("cell_id", "id")] + ls[1:], "not a profile cache"),
-        (lambda ls: [ls[0].replace(",s143", "")] + ls[1:], "not a profile cache"),
-        (lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:], "columns"),
-        (lambda ls: TestProfileCache.set_field(ls, 3, 40, "abc"), "abc"),
-        (lambda ls: TestProfileCache.set_field(ls, 3, 40, ""), "convert"),
-        (lambda ls: TestProfileCache.set_field(ls, 2, 5, "nan"), "non-finite"),
-        (lambda ls: TestProfileCache.set_field(ls, 2, 5, "inf"), "non-finite"),
-        (lambda ls: TestProfileCache.set_field(ls, 2, 1, "-inf"), "non-finite"),
-        (lambda ls: TestProfileCache.set_field(ls, 4, 9, "1.5"), "outside"),
-        (lambda ls: TestProfileCache.set_field(ls, 4, 9, "-0.25"), "outside"),
-        (lambda ls: TestProfileCache.set_field(ls, 5, 0, "2"), "duplicate cell id 2"),
-        (lambda ls: TestProfileCache.set_field(ls, 5, 0, "2.5"), "integers"),
-        (lambda ls: ls[:1], "no cell profiles"),
-    ])
+    @pytest.mark.parametrize("edit, message", BAD_CACHE_EDITS)
     def test_bad_cache_rejected(self, tmp_path, edit, message):
         with pytest.raises(NormalizationError, match=message):
             load_profile_cache(self.write_edited(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit, message", BAD_CACHE_EDITS)
+    def test_bad_cache_leaves_no_sidecar(self, tmp_path, edit, message):
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(NormalizationError, match=message):
+            load_profile_cache(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.csv"]
+
+
+def rewrite_sidecar(sidecar, change):
+    with np.load(sidecar) as data:
+        arrays = {name: data[name].copy() for name in data.files}
+    change(arrays)
+    with open(sidecar, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def write_npy(sidecar):
+    with open(sidecar, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+class TestProfileCacheSidecar:
+    """load_profile_cache keeps the parsed arrays in `<cache>.npz`, keyed by
+    the sha256 of the CSV, and parses the CSV only when that sidecar does not
+    hold the CSV's current content."""
+
+    @staticmethod
+    def write_cache(tmp_path):
+        path = tmp_path / "cache.csv"
+        save_profile_cache(small_corpus(), path)
+        return path
+
+    @staticmethod
+    def forbid_parse(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CSV was parsed")
+        monkeypatch.setattr(np, "loadtxt", refuse)
+
+    def test_hit_equals_miss(self, tmp_path):
+        path = self.write_cache(tmp_path)
+        miss = load_profile_cache(path)
+        assert (tmp_path / "cache.csv.npz").is_file()
+        hit = load_profile_cache(path)
+        for name in ("ids", "xy", "loads"):
+            assert np.array_equal(getattr(hit, name), getattr(miss, name))
+            assert getattr(hit, name).dtype == getattr(miss, name).dtype
+        assert hit == small_corpus()
+
+    def test_hit_does_not_parse(self, tmp_path, monkeypatch):
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
+        self.forbid_parse(monkeypatch)
+        assert load_profile_cache(path) == small_corpus()
+
+    def test_same_length_edit_is_parsed(self, tmp_path):
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
+        stat = path.stat()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split(",")
+        column = next(c for c in range(3, len(fields))
+                      if fields[c].startswith("0.") and len(fields[c]) > 4)
+        old = fields[column]
+        new = old[:2] + str((int(old[2]) + 1) % 10) + old[3:]
+        path.write_text("\n".join(set_field(lines, 3, column, new)) + "\n", encoding="utf-8")
+        # same size and modification time: only the content tells the edit
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        corpus = load_profile_cache(path)
+        assert corpus.loads[2, column - 3] == float(new) != float(old)
+
+    @pytest.mark.parametrize("damage", [
+        lambda sidecar: sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2]),
+        lambda sidecar: sidecar.write_bytes(b"\x00 not a sidecar" * 64),
+        lambda sidecar: sidecar.write_bytes(b""),
+        write_npy,
+        lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays.pop("xy")),
+        lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays["loads"].__setitem__((1, 2), 1.5)),
+    ], ids=["truncated", "garbage", "empty", "npy", "missing-key", "out-of-range"])
+    def test_bad_sidecar_falls_back_and_is_rewritten(self, tmp_path, monkeypatch, damage):
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
+        damage(tmp_path / "cache.csv.npz")
+        assert load_profile_cache(path) == small_corpus()
+        self.forbid_parse(monkeypatch)
+        assert load_profile_cache(path) == small_corpus()
+
+    def test_unwritable_sidecar_path(self, tmp_path):
+        path = self.write_cache(tmp_path)
+        (tmp_path / "cache.csv.npz").mkdir()
+        assert load_profile_cache(path) == small_corpus()
+        assert load_profile_cache(path) == small_corpus()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.csv", "cache.csv.npz"]
+        assert (tmp_path / "cache.csv.npz").is_dir()
