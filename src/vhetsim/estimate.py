@@ -93,7 +93,7 @@ class CellLoad(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class CellPool:
-    """The observable cells of one slot as arrays; indexes and iterates as CellLoads.
+    """The observable cells of one slot as arrays; iterates as CellLoads.
 
     `ids` holds the cell ids, `xy` the (cells, 2) positions and `loads` the
     current load of each cell. The estimators accept a pool or any iterable
@@ -115,21 +115,15 @@ class CellPool:
                                float, 2 * count).reshape(count, 2),
                    np.fromiter((c.load for c in cells), float, count))
 
-    def __getitem__(self, i: int) -> CellLoad:
-        x, y = self.xy[i].tolist()
-        return CellLoad(int(self.ids[i]), (x, y), float(self.loads[i]))
-
     def __iter__(self):
         for cell_id, (x, y), load in zip(self.ids.tolist(), self.xy.tolist(), self.loads.tolist()):
             yield CellLoad(cell_id, (x, y), load)
 
-
-def _distance(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def _neighbor(cell: CellLoad, target: CellLoad) -> Neighbor:
-    return Neighbor(cell.cell_id, _distance(cell.position, target.position), cell.load)
+    def neighbors(self, rows: np.ndarray, target: CellLoad) -> list[Neighbor]:
+        """The cells at `rows` as Neighbors of the target, at their `math.hypot` distance."""
+        tx, ty = target.position
+        return [Neighbor(cell_id, math.hypot(x - tx, y - ty), load) for cell_id, (x, y), load
+                in zip(self.ids[rows].tolist(), self.xy[rows].tolist(), self.loads[rows].tolist())]
 
 
 # relative slack on the k-th squared distance: far above the rounding of a
@@ -154,26 +148,21 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
     d2 = dx * dx + dy * dy
     kth = np.partition(d2, n_neighbors - 1)[n_neighbors - 1]
     candidates = others[d2 <= kth * (1.0 + _D2_SLACK)]
-    ranked = sorted((_neighbor(pool[i], target) for i in candidates.tolist()),
-                    key=lambda nb: (nb.distance, nb.cell_id))
+    ranked = sorted(pool.neighbors(candidates, target), key=lambda nb: (nb.distance, nb.cell_id))
     return NeighborSet(tuple(ranked[:n_neighbors]))
 
 
 def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> NeighborSet:
     """n distinct active cells drawn uniformly without replacement (seeded)."""
-    if isinstance(cells, CellPool):
-        ids = cells.ids
-    else:
-        cells = list(cells)
-        ids = np.fromiter((c.cell_id for c in cells), np.int64, len(cells))
-    others = np.flatnonzero(ids != target.cell_id)
+    pool = CellPool.of(cells)
+    others = np.flatnonzero(pool.ids != target.cell_id)
     if len(others) < n_neighbors:
         raise InsufficientNeighborsError(
             f"need {n_neighbors} active cells, only {len(others)} available"
         )
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(others), size=n_neighbors, replace=False)
-    return NeighborSet(tuple(_neighbor(cells[i], target) for i in others[chosen].tolist()))
+    return NeighborSet(tuple(pool.neighbors(others[chosen], target)))
 
 
 def estimate_mean(neighbors: NeighborSet) -> float:

@@ -307,6 +307,12 @@ def ingest_dataset(
     With day_count=None the number of days is inferred from the distinct
     calendar days present in the data.
     """
+    if grid_side < 1:
+        raise NormalizationError(f"grid side must be >= 1, got {grid_side}")
+    if not (math.isfinite(cell_size_m) and cell_size_m > 0):
+        raise NormalizationError(f"cell size must be finite and > 0, got {cell_size_m}")
+    if day_count is not None and day_count < 1:
+        raise NormalizationError(f"day count must be >= 1, got {day_count}")
     paths = sorted(
         p for p in Path(dataset_dir).iterdir()
         if p.suffix in {".txt", ".tsv", ".gz"} or p.name.endswith(".txt.gz")

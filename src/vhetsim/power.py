@@ -121,44 +121,3 @@ def total_power(net: Network, switch, loads: NetworkLoadState) -> float:
         p += bs_power(station.power, lam, bit)
     return p
 
-
-def expected_power(p_est: float, p_true: float, p_err: float) -> float:
-    """Error-probability mix of estimated and true network power."""
-    if not 0.0 <= p_err <= 1.0:
-        raise ValueError(f"error probability {p_err} outside [0, 1]")
-    return p_est * p_err + p_true * (1.0 - p_err)
-
-
-def expected_switch_error(
-    direction: str,
-    sbs: BaseStation,
-    haps: BaseStation,
-    lambda_true: float,
-    lambda_est: float,
-    p_err: float,
-    phi_jh: float,
-) -> float:
-    """Expected power penalty of a wrong wake-up or a wrong stay-asleep.
-
-    `off_to_on` compares the cost of keeping the SBS offloaded to the HAPS at
-    its true load against activating it at the (over)estimated load;
-    `on_to_off` compares running it at its true load against offloading the
-    (under)estimated load to the HAPS.
-    """
-    for name, value in (("lambda_true", lambda_true), ("lambda_est", lambda_est)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} {value} outside [0, 1]")
-    if not 0.0 <= p_err <= 1.0:
-        raise ValueError(f"error probability {p_err} outside [0, 1]")
-    if phi_jh <= 0:
-        raise ValueError("relative capacity must be > 0")
-    eta_h, pt_h = haps.power.amplifier_eff, haps.power.transmit_w
-    if direction == "off_to_on":
-        offloaded = eta_h * phi_jh * lambda_true * pt_h + sbs.power.sleep_w
-        activated = sbs.power.operational_w + sbs.power.amplifier_eff * lambda_est * sbs.power.transmit_w
-        return abs(offloaded - activated) * p_err
-    if direction == "on_to_off":
-        running = sbs.power.operational_w + sbs.power.amplifier_eff * lambda_true * sbs.power.transmit_w
-        offloaded = eta_h * phi_jh * lambda_est * pt_h + sbs.power.sleep_w
-        return abs(running - offloaded) * p_err
-    raise ValueError(f"unknown direction {direction!r}")

@@ -99,16 +99,42 @@ def apply_switch_on(loads: NetworkLoadState, j: int, new_lambda_j: float, target
     return _with_sink(NetworkLoadState(loads.lambda_haps, loads.lambda_mbs, tuple(sbs)), target, sink)
 
 
-def _sleep_set_state(net: Network, loads: NetworkLoadState, sleepers, targets):
-    """Apply a batch of switch-offs; None if any sink constraint is violated."""
-    state = loads
-    try:
-        for j, target in zip(sleepers, targets):
-            phi = relative_capacity(net.sbs[j], net.haps if target == HAPS else net.mbs)
-            state = apply_switch_off(state, j, target, phi)
-    except InfeasibleTransitionError:
-        return None
-    return state
+def _offload_table(net: Network, loads: NetworkLoadState, sinks) -> list[tuple]:
+    """The offload options of each SBS: one (sink, moved, change) per sink, in tag order.
+
+    `moved` is the snapped load the sink takes on when SBS j sleeps, and
+    `change` the power that saves or costs: eta_k * P_t,k * moved + P_sleep
+    - P_active. A sink that SBS j alone would overload is left out.
+    """
+    sink_order = sorted(set(sinks))
+    if any(target not in (MBS, HAPS) for target in sink_order):
+        raise ValueError(f"offload target must be {MBS} or {HAPS}")
+    table = []
+    for station, lam in zip(net.sbs, loads.lambda_sbs):
+        active = bs_power(station.power, lam, True)
+        options = []
+        for target in sink_order:
+            sink = net.haps if target == HAPS else net.mbs
+            raw = relative_capacity(station, sink) * lam
+            if raw <= 1.0:
+                moved = snap_load(raw)
+                eta_pt = sink.power.amplifier_eff * sink.power.transmit_w
+                options.append((target, moved, eta_pt * moved + station.power.sleep_w - active))
+        table.append(tuple(options))
+    return table
+
+
+def _solution(net: Network, loads: NetworkLoadState, chosen: dict):
+    """(SwitchVector, NetworkLoadState, power) of sleeping SBS j on chosen[j] = (sink, moved, change)."""
+    sink_load = {HAPS: loads.lambda_haps, MBS: loads.lambda_mbs}
+    sbs = list(loads.lambda_sbs)
+    for j, (target, moved, _) in chosen.items():
+        sink_load[target] += moved
+        sbs[j] = 0.0
+    sv = SwitchVector(tuple(int(j not in chosen) for j in range(len(sbs))),
+                      tuple((j, target) for j, (target, _, _) in chosen.items()))
+    state = NetworkLoadState(sink_load[HAPS], sink_load[MBS], tuple(sbs))
+    return sv, state, total_power(net, sv, state)
 
 
 def _candidate_key(power: float, delta: tuple[int, ...], targets):
@@ -128,89 +154,57 @@ def optimize_exhaustive(
     Returns (SwitchVector, final NetworkLoadState, power in watts). The all-on
     configuration is always feasible, so a result always exists.
 
-    The enumeration tracks sink loads and power increments as plain floats
-    (the load grid makes the sink arithmetic exact) and only materializes the
-    winning configuration, keeping the 3^s scan cheap.
+    The enumeration adds up the offload table's plain floats (the load grid
+    makes the sink arithmetic exact) and only materializes the winning
+    configuration, keeping the 3^s scan cheap.
     """
     s = len(net.sbs)
     if s > limit:
         raise ValueError(f"exhaustive search refused for s={s} > limit {limit}")
-    sink_order = tuple(sorted(sinks))
-    # per (sbs, sink): snapped load moved on switch-off, None if alone infeasible
-    moved = {}
-    for j, station in enumerate(net.sbs):
-        for target in sink_order:
-            sink_bs = net.haps if target == HAPS else net.mbs
-            raw = relative_capacity(station, sink_bs) * loads.lambda_sbs[j]
-            moved[j, target] = snap_load(raw) if raw <= 1.0 else None
-    active_power = [bs_power(b.power, lam, True)
-                    for b, lam in zip(net.sbs, loads.lambda_sbs)]
+    table = _offload_table(net, loads, sinks)
     all_on_power = total_power(net, SwitchVector.all_on(s), loads)
-    eta_pt = {HAPS: net.haps.power.amplifier_eff * net.haps.power.transmit_w,
-              MBS: net.mbs.power.amplifier_eff * net.mbs.power.transmit_w}
-
     best = None
     best_key = None
     for delta in itertools.product((1, 0), repeat=s):
         sleepers = [j for j, bit in enumerate(delta) if bit == 0]
-        for targets in itertools.product(sink_order, repeat=len(sleepers)):
+        for options in itertools.product(*(table[j] for j in sleepers)):
             lam_h, lam_m = loads.lambda_haps, loads.lambda_mbs
             power = all_on_power
-            feasible = True
-            for j, target in zip(sleepers, targets):
-                m = moved[j, target]
-                if m is None:
-                    feasible = False
-                    break
+            for target, moved, change in options:
                 if target == HAPS:
-                    lam_h += m
+                    lam_h += moved
                     if lam_h > 1.0:
-                        feasible = False
                         break
                 else:
-                    lam_m += m
+                    lam_m += moved
                     if lam_m > 1.0:
-                        feasible = False
                         break
-                power += eta_pt[target] * m + net.sbs[j].power.sleep_w - active_power[j]
-            if not feasible:
-                continue
-            key = _candidate_key(power, delta, targets)
-            if best_key is None or key < best_key:
-                best, best_key = (delta, tuple(zip(sleepers, targets))), key
-    delta, assignment = best
-    sv = SwitchVector(delta, assignment)
-    state = _sleep_set_state(net, loads, [j for j, _ in assignment],
-                             [t for _, t in assignment])
-    return sv, state, total_power(net, sv, state)
+                power += change
+            else:
+                key = _candidate_key(power, delta, [target for target, _, _ in options])
+                if best_key is None or key < best_key:
+                    best, best_key = dict(zip(sleepers, options)), key
+    return _solution(net, loads, best)
 
 
 def optimize_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, ...] = (HAPS, MBS)):
     """Sleep SBSs in ascending-load order whenever it strictly lowers power.
 
-    Returns (SwitchVector, final NetworkLoadState, power in watts); never worse
-    than the all-on configuration.
+    Each SBS goes to the sink with the lowest power change that still has
+    room, the first in tag order on a tie. Returns (SwitchVector, final
+    NetworkLoadState, power in watts); never worse than the all-on
+    configuration.
     """
-    s = len(net.sbs)
-    delta = [1] * s
-    targets: dict[int, str] = {}
-    state = loads
-    current = total_power(net, SwitchVector.all_on(s), state)
-    order = sorted(range(s), key=lambda j: (loads.lambda_sbs[j], j))
-    for j in order:
-        best_choice = None
-        for target in sorted(sinks):
-            phi = relative_capacity(net.sbs[j], net.haps if target == HAPS else net.mbs)
-            try:
-                candidate = apply_switch_off(state, j, target, phi)
-            except InfeasibleTransitionError:
-                continue
-            trial_delta = tuple(0 if k == j else delta[k] for k in range(s))
-            trial_targets = tuple({**targets, j: target}.items())
-            power = total_power(net, SwitchVector(trial_delta, trial_targets), candidate)
-            if best_choice is None or power < best_choice[0]:
-                best_choice = (power, target, candidate)
-        if best_choice is not None and best_choice[0] < current:
-            current, targets[j], state = best_choice[0], best_choice[1], best_choice[2]
-            delta[j] = 0
-    return SwitchVector(tuple(delta), tuple(targets.items())), state, current
+    table = _offload_table(net, loads, sinks)
+    sink_load = {HAPS: loads.lambda_haps, MBS: loads.lambda_mbs}
+    chosen = {}
+    for j in sorted(range(len(net.sbs)), key=lambda j: (loads.lambda_sbs[j], j)):
+        best = None
+        for option in table[j]:
+            target, moved, change = option
+            if sink_load[target] + moved <= 1.0 and (best is None or change < best[2]):
+                best = option
+        if best is not None and best[2] < 0.0:
+            chosen[j] = best
+            sink_load[best[0]] += best[1]
+    return _solution(net, loads, chosen)

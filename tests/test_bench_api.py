@@ -1,4 +1,5 @@
-"""The program names that the benchmark harness under bench/ relies on.
+"""The program names and config keys that the benchmark harness under bench/
+relies on.
 
 The harness reports a missing name as "unmeasured" instead of failing, so a
 deletion in `src/` that breaks it would otherwise go unnoticed. The bench
@@ -33,6 +34,21 @@ def traced_spans():
     raise AssertionError("bench/tracer.py has no SPANS table")
 
 
+def run_tables():
+    """POWER, BASE and WORKLOADS of bench/run.py, evaluated from their syntax trees."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name) \
+                and node.targets[0].id in ("POWER", "BASE", "WORKLOADS"):
+            # the tables are literals that may name the tables before them
+            expression = ast.fix_missing_locations(ast.Expression(node.value))
+            tables[node.targets[0].id] = eval(compile(expression, "bench/run.py", "eval"),
+                                              {"__builtins__": {}}, dict(tables))
+    assert sorted(tables) == ["BASE", "POWER", "WORKLOADS"]
+    return tables
+
+
 def resolves(module, name):
     try:
         imported = importlib.import_module(module)
@@ -61,3 +77,17 @@ def test_exhaustive_accepts_limit():
     from vhetsim.switching import optimize_exhaustive
 
     assert "limit" in inspect.signature(optimize_exhaustive).parameters
+
+
+def test_workload_configs_resolve(tmp_path):
+    from vhetsim.config import resolve_config
+
+    tables = run_tables()
+    assert sorted(tables["WORKLOADS"]) == ["paper-distance", "paper-mlc"]
+    for name, spec in tables["WORKLOADS"].items():
+        # the config that bench/run.py writes for one workload
+        spec = {key: value for key, value in spec.items() if key != "input"}
+        raw = {**tables["BASE"], **spec, "dataset": str(tmp_path / "cache.csv"), "seed": 1,
+               "estimator": {**spec["estimator"], "seed": 1}}
+        config = resolve_config(raw)
+        assert config.exhaustive_limit == tables["BASE"]["exhaustive_limit"], name

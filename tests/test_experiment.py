@@ -251,6 +251,24 @@ class TestCli:
         assert "4 cell profiles" in capsys.readouterr().out
         assert len(load_profile_cache(cache)) == 4
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid-side", "-3", "grid side must be >= 1, got -3"),
+        ("--grid-side", "0", "grid side must be >= 1, got 0"),
+        ("--cell-size", "0", "cell size must be finite and > 0, got 0.0"),
+        ("--cell-size", "nan", "cell size must be finite and > 0, got nan"),
+        ("--cell-size", "inf", "cell size must be finite and > 0, got inf"),
+        ("--days", "0", "day count must be >= 1, got 0"),
+    ])
+    def test_ingest_bad_argument_clean_exit(self, tmp_path, capsys, flag, value, message):
+        data = tmp_path / "cdr"
+        data.mkdir()
+        (data / "day1.txt").write_text("1\t0\t39\t1.0\n2\t0\t39\t2.0\n", encoding="utf-8")
+        cache = tmp_path / "c.csv"
+        argv = ["ingest", "--dataset", str(data), "--cache", str(cache), "--grid-side", "2"]
+        assert main(argv + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not cache.exists()
+
     def test_bad_cache_clean_exit(self, tmp_path, capsys):
         cache = tmp_path / "cache.csv"
         save_profile_cache(synth_traffic(SynthParams(grid_side=3, spatial_correlation_length=235.0,

@@ -1,11 +1,16 @@
-"""The vectorised estimator kernels against the loops they replaced.
+"""The vectorised estimator kernels and the table-driven solvers against the
+loops they replaced.
 
 `sorted_rank_neighbors`, `loop_plus_plus_init` and `lloyd_kmeans` are the
 earlier implementations, kept here as references: a full sort of every
 candidate, and Lloyd's algorithm on the full (points x centroids) distance
-matrix. The kernels must return exactly what they return.
+matrix. `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers
+as they were before both read one offload table: greedy built a SwitchVector,
+a load state and a total_power per trial switch-off. The kernels and solvers
+must return exactly what they return.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -22,8 +27,28 @@ from vhetsim.estimate import (
     rank_neighbors,
     select_random,
 )
-from vhetsim.errors import InsufficientNeighborsError
+from vhetsim.errors import InfeasibleTransitionError, InsufficientNeighborsError
 from vhetsim.ingest import SynthParams, grid_centroids, synth_traffic
+from vhetsim.power import (
+    BaseStation,
+    Network,
+    NetworkLoadState,
+    PowerParams,
+    Tier,
+    bs_power,
+    snap_load,
+    total_power,
+)
+from vhetsim.switching import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
+    HAPS,
+    MBS,
+    SwitchVector,
+    apply_switch_off,
+    optimize_exhaustive,
+    optimize_greedy,
+    relative_capacity,
+)
 
 
 def sorted_rank_neighbors(target, cells, n_neighbors):
@@ -80,6 +105,123 @@ def lloyd_kmeans(points, g, seed):
         sse=history[-1],
         sse_history=tuple(history),
     )
+
+
+def _sleep_set_state(net: Network, loads: NetworkLoadState, sleepers, targets):
+    """Apply a batch of switch-offs; None if any sink constraint is violated."""
+    state = loads
+    try:
+        for j, target in zip(sleepers, targets):
+            phi = relative_capacity(net.sbs[j], net.haps if target == HAPS else net.mbs)
+            state = apply_switch_off(state, j, target, phi)
+    except InfeasibleTransitionError:
+        return None
+    return state
+
+
+def _candidate_key(power: float, delta: tuple[int, ...], targets):
+    # Tie-break: lowest power, then most SBSs on, then the vector whose first
+    # differing bit is ON, then alphabetical sink tags.
+    return (power, len(delta) - sum(delta), tuple(1 - b for b in delta), tuple(targets))
+
+
+def inline_table_exhaustive(
+    net: Network,
+    loads: NetworkLoadState,
+    sinks: tuple[str, ...] = (HAPS, MBS),
+    limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+):
+    """Enumerate every on/off vector and sink assignment; return the best.
+
+    Returns (SwitchVector, final NetworkLoadState, power in watts). The all-on
+    configuration is always feasible, so a result always exists.
+
+    The enumeration tracks sink loads and power increments as plain floats
+    (the load grid makes the sink arithmetic exact) and only materializes the
+    winning configuration, keeping the 3^s scan cheap.
+    """
+    s = len(net.sbs)
+    if s > limit:
+        raise ValueError(f"exhaustive search refused for s={s} > limit {limit}")
+    sink_order = tuple(sorted(sinks))
+    # per (sbs, sink): snapped load moved on switch-off, None if alone infeasible
+    moved = {}
+    for j, station in enumerate(net.sbs):
+        for target in sink_order:
+            sink_bs = net.haps if target == HAPS else net.mbs
+            raw = relative_capacity(station, sink_bs) * loads.lambda_sbs[j]
+            moved[j, target] = snap_load(raw) if raw <= 1.0 else None
+    active_power = [bs_power(b.power, lam, True)
+                    for b, lam in zip(net.sbs, loads.lambda_sbs)]
+    all_on_power = total_power(net, SwitchVector.all_on(s), loads)
+    eta_pt = {HAPS: net.haps.power.amplifier_eff * net.haps.power.transmit_w,
+              MBS: net.mbs.power.amplifier_eff * net.mbs.power.transmit_w}
+
+    best = None
+    best_key = None
+    for delta in itertools.product((1, 0), repeat=s):
+        sleepers = [j for j, bit in enumerate(delta) if bit == 0]
+        for targets in itertools.product(sink_order, repeat=len(sleepers)):
+            lam_h, lam_m = loads.lambda_haps, loads.lambda_mbs
+            power = all_on_power
+            feasible = True
+            for j, target in zip(sleepers, targets):
+                m = moved[j, target]
+                if m is None:
+                    feasible = False
+                    break
+                if target == HAPS:
+                    lam_h += m
+                    if lam_h > 1.0:
+                        feasible = False
+                        break
+                else:
+                    lam_m += m
+                    if lam_m > 1.0:
+                        feasible = False
+                        break
+                power += eta_pt[target] * m + net.sbs[j].power.sleep_w - active_power[j]
+            if not feasible:
+                continue
+            key = _candidate_key(power, delta, targets)
+            if best_key is None or key < best_key:
+                best, best_key = (delta, tuple(zip(sleepers, targets))), key
+    delta, assignment = best
+    sv = SwitchVector(delta, assignment)
+    state = _sleep_set_state(net, loads, [j for j, _ in assignment],
+                             [t for _, t in assignment])
+    return sv, state, total_power(net, sv, state)
+
+
+def trial_state_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, ...] = (HAPS, MBS)):
+    """Sleep SBSs in ascending-load order whenever it strictly lowers power.
+
+    Returns (SwitchVector, final NetworkLoadState, power in watts); never worse
+    than the all-on configuration.
+    """
+    s = len(net.sbs)
+    delta = [1] * s
+    targets: dict[int, str] = {}
+    state = loads
+    current = total_power(net, SwitchVector.all_on(s), state)
+    order = sorted(range(s), key=lambda j: (loads.lambda_sbs[j], j))
+    for j in order:
+        best_choice = None
+        for target in sorted(sinks):
+            phi = relative_capacity(net.sbs[j], net.haps if target == HAPS else net.mbs)
+            try:
+                candidate = apply_switch_off(state, j, target, phi)
+            except InfeasibleTransitionError:
+                continue
+            trial_delta = tuple(0 if k == j else delta[k] for k in range(s))
+            trial_targets = tuple({**targets, j: target}.items())
+            power = total_power(net, SwitchVector(trial_delta, trial_targets), candidate)
+            if best_choice is None or power < best_choice[0]:
+                best_choice = (power, target, candidate)
+        if best_choice is not None and best_choice[0] < current:
+            current, targets[j], state = best_choice[0], best_choice[1], best_choice[2]
+            delta[j] = 0
+    return SwitchVector(tuple(delta), tuple(targets.items())), state, current
 
 
 def assert_same_model(got, want):
@@ -189,3 +331,48 @@ class TestKmeans:
                                              noise_std=0.25, seed=7)).loads
         for seed in range(3):
             assert kmeans_cluster(features, 12, seed) == lloyd_kmeans(features, 12, seed)
+
+
+SBS_P = PowerParams(operational_w=56.0, amplifier_eff=2.6, transmit_w=6.3, sleep_w=6.0)
+MBS_P = PowerParams(operational_w=130.0, amplifier_eff=4.7, transmit_w=20.0, sleep_w=75.0)
+HAPS_P = PowerParams(operational_w=180.0, amplifier_eff=4.0, transmit_w=120.0, sleep_w=100.0)
+# (C_sbs, C_mbs, C_haps): the README default; an MBS just past the size where
+# sleeping the smallest loads stops being optimal; SBSs larger than both sinks
+CAPACITIES = ((10.0, 50.0, 50.0), (10.0, 58.0, 50.0), (25.0, 10.0, 10.0))
+LOAD_GRID = (0.0, 0.25, 0.5, 0.7, 1.0)
+SINK_MODES = ((HAPS, MBS), (HAPS,))
+
+
+def solver_instances(seed, count, max_s):
+    """Seeded (network, loads, sinks) with uniform or grid-valued loads."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        c_sbs, c_mbs, c_haps = CAPACITIES[k % 3]
+        s = int(rng.integers(1, max_s + 1))
+        if (k // 3) % 2:
+            draw = [float(v) for v in rng.choice(LOAD_GRID, size=s + 2)]
+        else:
+            draw = [float(v) for v in rng.random(s + 2)]
+            draw[:2] = [0.3 * v for v in draw[:2]]
+        net = Network(BaseStation("haps", Tier.HAPS, (0.0, 0.0), c_haps, HAPS_P),
+                      BaseStation("mbs", Tier.MBS, (0.0, 0.0), c_mbs, MBS_P),
+                      tuple(BaseStation(f"sbs-{i}", Tier.SBS, (float(i), 0.0), c_sbs, SBS_P)
+                            for i in range(s)))
+        yield net, NetworkLoadState(draw[0], draw[1], tuple(draw[2:])), SINK_MODES[(k // 6) % 2]
+
+
+def assert_same_solution(got, want):
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert repr(got[2]) == repr(want[2])
+
+
+class TestSolvers:
+    def test_greedy_matches_trial_states(self):
+        for net, loads, sinks in solver_instances(5, 10_000, 22):
+            assert_same_solution(optimize_greedy(net, loads, sinks), trial_state_greedy(net, loads, sinks))
+
+    def test_exhaustive_matches_inline_table(self):
+        for net, loads, sinks in solver_instances(6, 10_000, 7):
+            assert_same_solution(optimize_exhaustive(net, loads, sinks),
+                                 inline_table_exhaustive(net, loads, sinks))

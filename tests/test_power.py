@@ -8,8 +8,6 @@ from vhetsim.power import (
     PowerParams,
     Tier,
     bs_power,
-    expected_power,
-    expected_switch_error,
     snap_load,
     total_power,
 )
@@ -114,66 +112,6 @@ class TestEstimatedPower:
         base = total_power(net, sv, NetworkLoadState(0.0, 0.0, (0.4,)))
         bumped = total_power(net, sv, NetworkLoadState(0.0, 0.0, (0.5,)))
         assert bumped - base == pytest.approx(5.0 * 0.1 * 20.0)
-
-
-class TestExpectedPower:
-    def test_endpoints(self):
-        assert expected_power(110.0, 100.0, 0.0) == 100.0
-        assert expected_power(110.0, 100.0, 1.0) == 110.0
-
-    def test_hand_mix(self):
-        assert expected_power(110.0, 100.0, 0.25) == pytest.approx(102.5)
-
-    def test_affine_interpolation_bounds(self):
-        import random
-        rng = random.Random(3)
-        for _ in range(200):
-            a, b, p = rng.uniform(50, 500), rng.uniform(50, 500), rng.random()
-            out = expected_power(a, b, p)
-            assert min(a, b) - 1e-12 <= out <= max(a, b) + 1e-12
-
-    def test_bad_probability(self):
-        with pytest.raises(ValueError):
-            expected_power(1.0, 1.0, 1.5)
-
-
-class TestExpectedSwitchError:
-    def _stations(self):
-        sbs = BaseStation("s", Tier.SBS, (0.0, 0.0), 10.0,
-                          PowerParams(100.0, 5.0, 20.0, 5.0))
-        haps = BaseStation("h", Tier.HAPS, (0.0, 0.0), 200.0,
-                           PowerParams(300.0, 4.0, 50.0, 100.0))
-        return sbs, haps
-
-    def test_zero_probability(self):
-        sbs, haps = self._stations()
-        for direction in ("off_to_on", "on_to_off"):
-            assert expected_switch_error(direction, sbs, haps, 0.2, 0.6, 0.0, 0.05) == 0.0
-
-    def test_hand_value_off_to_on(self):
-        sbs, haps = self._stations()
-        # |(4*0.05*0.2*50 + 5) - (100 + 5*0.6*20)| * 0.5 = |7 - 160| * 0.5
-        out = expected_switch_error("off_to_on", sbs, haps, 0.2, 0.6, 0.5, 0.05)
-        assert out == pytest.approx(76.5)
-
-    def test_symmetry_of_absolute_difference(self):
-        sbs, haps = self._stations()
-        a = expected_switch_error("on_to_off", sbs, haps, 0.2, 0.6, 0.5, 0.05)
-        # swapping which operand is larger only flips the sign inside |.|
-        running = 100.0 + 5.0 * 0.2 * 20.0
-        offloaded = 4.0 * 0.05 * 0.6 * 50.0 + 5.0
-        assert a == pytest.approx(abs(running - offloaded) * 0.5)
-        assert a == pytest.approx(abs(offloaded - running) * 0.5)
-
-    def test_unknown_direction(self):
-        sbs, haps = self._stations()
-        with pytest.raises(ValueError):
-            expected_switch_error("sideways", sbs, haps, 0.2, 0.6, 0.5, 0.05)
-
-    def test_bad_phi(self):
-        sbs, haps = self._stations()
-        with pytest.raises(ValueError):
-            expected_switch_error("off_to_on", sbs, haps, 0.2, 0.6, 0.5, 0.0)
 
 
 class TestNetworkLoadState:
