@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from numbers import Real
+from numbers import Integral, Real
 
 import yaml
 
@@ -104,14 +104,25 @@ def _merge_section(name: str, defaults: dict, given, required=()) -> dict:
     return merged
 
 
+def _integer(value, key: str, minimum: int | None = None, expected: str = "an integer") -> int:
+    """`value` as an int; booleans, strings and non-integral numbers are refused."""
+    if isinstance(value, bool) or not (isinstance(value, Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _number(raw: dict, key: str, kind: type, default):
     """`raw[key]`, or the default, as an int or a finite float."""
     value = raw.get(key, default)
+    if kind is int:
+        return _integer(value, key)
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}") from None
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return number
@@ -137,6 +148,11 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("either 'dataset' or 'synth' is required")
 
     est = _merge_section("estimator", DEFAULT_ESTIMATOR, raw.get("estimator"), required=("method",))
+    for key in ("neighbor_count", "layer_count", "seed"):
+        est[key] = _integer(est[key], f"estimator.{key}", minimum=0 if key == "seed" else None)
+    if est["cluster_count"] != "elbow":
+        est["cluster_count"] = _integer(est["cluster_count"], "estimator.cluster_count", 1,
+                                        expected="'elbow' or an integer >= 1")
     try:
         estimator = EstimatorSpec(**est)
     except (TypeError, ValueError) as exc:
@@ -146,6 +162,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if raw.get("synth") is not None:
         synth_defaults = {**DEFAULT_SYNTH, "temporal_profile": None}
         sy = _merge_section("synth", synth_defaults, raw["synth"], required=("grid_side",))
+        for key in ("grid_side", "seed"):
+            sy[key] = _integer(sy[key], f"synth.{key}", minimum=0 if key == "seed" else None)
         if sy["temporal_profile"] is not None:
             sy["temporal_profile"] = tuple(sy["temporal_profile"])
         else:
@@ -190,7 +208,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         grid_side=_number(raw, "grid_side", int, 100),
         cell_size_m=_number(raw, "cell_size_m", float, DEFAULT_CELL_SIZE_M),
         cluster_features=raw.get("cluster_features", "scalar"),
-        seed=_number(raw, "seed", int, 0),
+        seed=_integer(raw.get("seed", 0), "seed", minimum=0),
         output=raw.get("output"),
     )
     if cfg["sbs_count"] < 1:

@@ -172,15 +172,6 @@ def estimate_mean(neighbors: NeighborSet) -> float:
     return float(neighbors.loads.mean())
 
 
-def weight_factor(d: float, d_max: float, n: float) -> float:
-    """Inverse-distance weight d_max / d**n."""
-    if d <= 0:
-        raise DegenerateDistanceError("weighting is undefined at zero distance")
-    if n <= 0:
-        raise ValueError("distance exponent must be > 0")
-    return d_max / d ** n
-
-
 def estimate_weighted(neighbors: NeighborSet, n: float) -> float:
     """Inverse-distance weighted average of the neighbor loads.
 
@@ -209,22 +200,55 @@ class ClusterModel:
     sse_history: tuple[float, ...] = ()
 
 
-def _plus_plus_init(pts: np.ndarray, g: int, rng: np.random.Generator) -> np.ndarray:
-    centroids = [pts[rng.integers(len(pts))]]
-    d2 = None
-    for _ in range(1, g):
-        # squared distance to the nearest centroid so far, kept as a running min
-        latest = ((pts - centroids[-1]) ** 2).sum(-1)
-        d2 = latest if d2 is None else np.minimum(d2, latest)
-        total = d2.sum()
-        if total <= 0:
-            centroids.append(pts[rng.integers(len(pts))])
-            continue
-        centroids.append(pts[rng.choice(len(pts), p=d2 / total)])
-    return np.asarray(centroids, dtype=float)
+class _PointSet:
+    """One point set's shared k-means work: the points (scalars as a 1-D array),
+    for scalars their sort and prefix sums, one k-means++ stream per seed, and
+    every finished fit by (g, seed). The points must not change meanwhile.
+    """
+
+    def __init__(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
+        self.pts = pts[:, 0] if pts.shape[1] == 1 else pts
+        self.fits: dict[tuple[int, int], ClusterModel] = {}
+        self._streams: dict[int, tuple] = {}
+        if self.pts.ndim == 1:
+            eps = sys.float_info.epsilon
+            # equal points always share a cluster, so the sort need not be stable
+            order = np.argsort(self.pts)
+            xs = self.pts[order]
+            # bound on a prefix-sum segment mean's error times its count; any
+            # summation order of the same points errs by less
+            sum_err = 2.0 * len(xs) * eps * float(np.abs(xs).sum())
+            # centroids closer than this may tie in the loop's rounded distances
+            # |x - c| <= 2 max|x| of a far point
+            reach = 8.0 * eps * float(np.abs(xs).max(initial=0.0))
+            self.prefix = (order, xs.tolist(), np.concatenate(([0.0], np.cumsum(xs))).tolist(),
+                           np.concatenate(([0.0], np.cumsum(xs * xs))).tolist(), sum_err, reach)
+
+    def seeds(self, g: int, seed: int) -> np.ndarray:
+        """The first g k-means++ seeds of `seed`, as a new array: each drawn with
+        probability proportional to its squared distance to the nearest seed so
+        far. A larger g continues the same stream, so its seeds start with a smaller g's."""
+        if seed not in self._streams:
+            self._streams[seed] = (self._plus_plus(self.pts, np.random.default_rng(seed)), [])
+        stream, chosen = self._streams[seed]
+        chosen.extend(itertools.islice(stream, max(0, g - len(chosen))))
+        return np.array(chosen[:g], dtype=float)
+
+    @staticmethod
+    def _plus_plus(pts: np.ndarray, rng: np.random.Generator):
+        # holds no reference to the context, so dropping a context frees it at once
+        latest, d2 = pts[rng.integers(len(pts))], None
+        while True:
+            yield latest
+            # squared distance to the nearest seed so far, kept as a running min
+            dist = ((pts - latest) ** 2).reshape(len(pts), -1).sum(-1)
+            d2 = dist if d2 is None else np.minimum(d2, dist)
+            total = d2.sum()
+            latest = pts[rng.integers(len(pts))] if total <= 0 else pts[rng.choice(len(pts), p=d2 / total)]
 
 
-def _lloyd_sorted(x: np.ndarray, centroids: np.ndarray):
+def _lloyd_sorted(context: _PointSet, centroids: np.ndarray):
     """Lloyd's iterations on scalars, on the sorted points with prefix sums.
 
     Each cluster is the run of sorted points between two centroid midpoints,
@@ -242,19 +266,8 @@ def _lloyd_sorted(x: np.ndarray, centroids: np.ndarray):
     stopped changing.
     """
     eps = sys.float_info.epsilon
-    # equal points always share a cluster, so the sort need not be stable
-    order = np.argsort(x)
-    xs = x[order]
+    order, xs, csum, csq, sum_err, reach = context.prefix
     n, g = len(xs), len(centroids)
-    csum = np.concatenate(([0.0], np.cumsum(xs))).tolist()
-    csq = np.concatenate(([0.0], np.cumsum(xs * xs))).tolist()
-    # bound on a prefix-sum segment mean's error times its count; any
-    # summation order of the same points errs by less
-    sum_err = 2.0 * n * eps * float(np.abs(xs).sum())
-    # centroids closer than this may tie in the loop's rounded distances
-    # |x - c| <= 2 max|x| of a far point
-    reach = 8.0 * eps * float(np.abs(xs).max())
-    xs = xs.tolist()
     cent = centroids.tolist()
     err = [0.0] * g                      # the k-means++ seeds are exact
     history, state, converged = [], None, False
@@ -295,7 +308,8 @@ def _lloyd_sorted(x: np.ndarray, centroids: np.ndarray):
 
 
 def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return ((pts[:, None, :] - centroids[None]) ** 2).sum(-1)
+    sq = (pts[:, None] - centroids[None]) ** 2
+    return sq if pts.ndim == 1 else sq.sum(-1)
 
 
 def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -305,7 +319,7 @@ def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> 
     return _sq_distances(pts, centroids)
 
 
-def kmeans_cluster(points, g: int, seed: int) -> ClusterModel:
+def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = None) -> ClusterModel:
     """Lloyd's algorithm with seeded k-means++ init, run to a fixed point.
 
     Empty clusters are reseeded to the point currently farthest from its
@@ -314,23 +328,29 @@ def kmeans_cluster(points, g: int, seed: int) -> ClusterModel:
     last entry comes from those sums; their fixed point is then checked with
     the centroids and distances of the general loop, which takes over if the
     check fails, so the result is always a fixed point of that loop.
+
+    `context`, built from these very points, shares their sort, k-means++
+    draws and finished fits with other calls on them; without one the call
+    builds its own.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
+    context = _PointSet(points) if context is None else context
+    pts = context.pts
     if len(pts) < g:
         raise ValueError(f"need at least {g} points for {g} clusters, got {len(pts)}")
-    rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(pts, g, rng)
+    if (g, seed) in context.fits:
+        return context.fits[g, seed]
+    centroids = context.seeds(g, seed)
     rows = np.arange(len(pts))
     assignment, history = None, []
-    if pts.shape[1] == 1:
-        assignment, history, converged = _lloyd_sorted(pts[:, 0], centroids[:, 0].copy())
+    if pts.ndim == 1:
+        assignment, history, converged = _lloyd_sorted(context, centroids)
     if assignment is None:
         d2 = _sq_distances(pts, centroids)
     else:
         d2 = _refresh(pts, centroids, assignment)
         history[-1] = float(d2[rows, assignment].sum())
         if converged and (d2.argmin(axis=1) == assignment).all():
-            return _model(centroids, assignment, history)
+            return context.fits.setdefault((g, seed), _model(centroids, assignment, history))
     # d2 always holds the squared distances to the current centroids
     for _ in range(len(history), _KMEANS_MAX_ITER):
         new_assignment = d2.argmin(axis=1)
@@ -349,19 +369,19 @@ def kmeans_cluster(points, g: int, seed: int) -> ClusterModel:
         if assignment is not None and (new_assignment == assignment).all():
             break
         assignment = new_assignment
-    return _model(centroids, assignment, history)
+    return context.fits.setdefault((g, seed), _model(centroids, assignment, history))
 
 
 def _model(centroids: np.ndarray, assignment: np.ndarray, history: list[float]) -> ClusterModel:
     return ClusterModel(
-        centroids=tuple(map(tuple, centroids.tolist())),
+        centroids=tuple(map(tuple, centroids.reshape(len(centroids), -1).tolist())),
         assignment=tuple(assignment.tolist()),
         sse=history[-1],
         sse_history=tuple(history),
     )
 
 
-def elbow_g(points, g_range=DEFAULT_G_RANGE, seed: int = 0) -> int:
+def elbow_g(points, g_range=DEFAULT_G_RANGE, seed: int = 0, *, context: _PointSet | None = None) -> int:
     """Cluster count at the knee of the SSE curve.
 
     The knee is the g with the largest perpendicular distance from the line
@@ -370,11 +390,11 @@ def elbow_g(points, g_range=DEFAULT_G_RANGE, seed: int = 0) -> int:
     gs = [g for g in g_range]
     if not gs:
         raise ValueError("empty cluster-count range")
-    pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
-    gs = [g for g in gs if g <= len(pts)]
+    context = _PointSet(points) if context is None else context
+    gs = [g for g in gs if g <= len(context.pts)]
     if not gs:
         raise ValueError("no feasible cluster count for this corpus size")
-    sses = [kmeans_cluster(pts, g, seed).sse for g in gs]
+    sses = [kmeans_cluster(points, g, seed, context=context).sse for g in gs]
     if len(gs) == 1:
         return gs[0]
     x1, y1, x2, y2 = gs[0], sses[0], gs[-1], sses[-1]
@@ -430,16 +450,18 @@ def mlc_estimate(
         feature_matrix = np.asarray(features, dtype=float)
         if len(feature_matrix) != len(lam):
             raise ValueError("feature matrix must have one row per cell")
+    points = lam if feature_matrix is None else feature_matrix
+    context = _PointSet(points)     # shared by the elbow and the first layer
     if clusters == "elbow":
-        g = elbow_g(feature_matrix if feature_matrix is not None else lam,
-                    g_range=g_range, seed=seed)
+        g = elbow_g(points, g_range=g_range, seed=seed, context=context)
     else:
         g = int(clusters)
     g = min(g, len(lam))
     first = 0 if feature_matrix is None else layers - 1
     for layer in range(first, layers):
-        model = kmeans_cluster(feature_matrix if feature_matrix is not None else lam,
-                               g, seed + layer)
+        if layer > first:
+            context = _PointSet(lam)    # the layer before changed the values
+        model = kmeans_cluster(points, g, seed + layer, context=context)
         assignment = np.asarray(model.assignment)
         for cluster in range(g):
             members = assignment == cluster

@@ -23,7 +23,7 @@ from vhetsim.estimate import (
 )
 from vhetsim.experiment import run_experiment
 from vhetsim.ingest import SynthParams, synth_traffic
-from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier
+from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier, snap_load
 from vhetsim.reporting import emit_report
 from vhetsim.switching import (
     HAPS,
@@ -56,6 +56,9 @@ def make_net(s, c_sbs=10.0, c_mbs=50.0, c_haps=50.0):
 def brute_force_reference(net, loads):
     """Independent plain-arithmetic enumerator with the documented tie-break:
     lowest power, most stations on, first differing bit on, alphabetical sinks.
+
+    Each move adds snap_load(phi * lambda) to its sink, which must stay at or
+    below 1.0, the feasibility test of `apply_switch_off`.
     """
     s = len(net.sbs)
     best, best_key = None, None
@@ -66,13 +69,16 @@ def brute_force_reference(net, loads):
             ok = True
             for j, tgt in zip(sleepers, targets):
                 sink = net.haps if tgt == HAPS else net.mbs
-                delta_load = net.sbs[j].capacity / sink.capacity * loads.lambda_sbs[j]
+                raw = net.sbs[j].capacity / sink.capacity * loads.lambda_sbs[j]
+                if raw > 1.0:
+                    ok = False
+                    break
                 if tgt == HAPS:
-                    lam_h += delta_load
-                    ok = lam_h <= 1.0 + 1e-15
+                    lam_h += snap_load(raw)
+                    ok = lam_h <= 1.0
                 else:
-                    lam_m += delta_load
-                    ok = lam_m <= 1.0 + 1e-15
+                    lam_m += snap_load(raw)
+                    ok = lam_m <= 1.0
                 if not ok:
                     break
             if not ok:
@@ -113,6 +119,19 @@ def test_criterion_01_solver_oracle_equivalence():
     verdict(1, mismatches == 0 and greedy_violations == 0,
             f"200 instances s<=10: {mismatches} oracle mismatches, "
             f"{greedy_violations} greedy-below-exhaustive violations")
+
+
+def test_oracle_sink_filled_to_one():
+    # MBS base 0.2 and four SBSs at load 1.0 (phi = 0.2): snap_load(0.2) is just
+    # above 0.2, so a fourth move to the MBS would take it past 1.0. The oracle
+    # keeps one SBS on, as the program does, instead of sleeping all four.
+    net = make_net(4)
+    loads = NetworkLoadState(0.0, 0.2, (1.0,) * 4)
+    ref_delta, ref_targets, p_ref = brute_force_reference(net, loads)
+    sv, _, p_ex = optimize_exhaustive(net, loads)
+    assert sum(ref_delta) == 1 and all(target == MBS for _, target in ref_targets)
+    assert sv.delta == ref_delta and sv.offload_target == tuple(sorted(ref_targets))
+    assert p_ref == pytest.approx(475.58) and abs(p_ex - p_ref) <= 1e-9
 
 
 def test_criterion_02_weighted_estimator_algebraic_identity():

@@ -91,3 +91,35 @@ def test_workload_configs_resolve(tmp_path):
                "estimator": {**spec["estimator"], "seed": 1}}
         config = resolve_config(raw)
         assert config.exhaustive_limit == tables["BASE"]["exhaustive_limit"], name
+
+
+# the parameters that bench/checks.py and bench/reference.py read, by name,
+# from each captured call once it is bound to the function's signature
+BOUND_PARAMETERS = {
+    ("estimate", "kmeans_cluster"): ("points",),
+    ("estimate", "elbow_g"): ("points", "g_range"),
+    ("estimate", "rank_neighbors"): ("target", "cells", "n_neighbors"),
+    ("estimate", "estimate_weighted"): ("neighbors", "n"),
+    ("estimate", "mlc_estimate"): ("active",),
+    ("switching", "optimize_greedy"): ("net", "loads", "sinks"),
+    ("switching", "optimize_exhaustive"): ("net", "loads", "sinks"),
+}
+
+
+def test_checked_calls_keep_their_parameter_names():
+    missing = []
+    for (module, function), names in BOUND_PARAMETERS.items():
+        parameters = inspect.signature(getattr(importlib.import_module(f"vhetsim.{module}"), function)).parameters
+        missing += [f"vhetsim.{module}.{function}({name})" for name in names if name not in parameters]
+    assert missing == []
+
+
+def test_bound_parameter_table_covers_the_checks():
+    # every call["name"] that the bench reads appears in the table above
+    read = set()
+    for path in (BENCH / "checks.py", BENCH / "reference.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "call" and isinstance(node.slice, ast.Constant):
+                read.add(node.slice.value)
+    assert read == {name for names in BOUND_PARAMETERS.values() for name in names}

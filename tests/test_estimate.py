@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vhetsim.errors import DegenerateDistanceError, InsufficientNeighborsError
+from vhetsim.errors import InsufficientNeighborsError
 from vhetsim.estimate import (
     CellLoad,
     EstimatorSpec,
@@ -14,7 +14,6 @@ from vhetsim.estimate import (
     mlc_estimate,
     rank_neighbors,
     select_random,
-    weight_factor,
 )
 
 
@@ -117,22 +116,6 @@ class TestEstimateMean:
             estimate_mean(NeighborSet(()))
 
 
-class TestWeightFactor:
-    def test_farthest_member_anchor(self):
-        assert weight_factor(2.0, 2.0, 1.0) == 1.0
-
-    def test_hand_value(self):
-        assert weight_factor(1.0, 2.0, 3.0) == 2.0
-
-    def test_monotone_decreasing_in_n(self):
-        ws = [weight_factor(2.0, 2.0, n) for n in (1, 3, 5)]
-        assert ws == [1.0, 0.25, 0.0625]
-
-    def test_zero_distance(self):
-        with pytest.raises(DegenerateDistanceError):
-            weight_factor(0.0, 2.0, 1.0)
-
-
 class TestEstimateWeighted:
     def test_constant_loads(self):
         ns = NeighborSet((Neighbor(1, 1.0, 0.4), Neighbor(2, 9.0, 0.4)))
@@ -164,7 +147,7 @@ class TestEstimateWeighted:
             assert loads.min() <= out <= loads.max()
 
     def test_matches_definition_form(self):
-        # weight_factor-based sum must agree with the simplified normalized form
+        # the definition's d_max / d**n weights must agree with the normalized form
         rng = np.random.default_rng(8)
         for _ in range(200):
             k = int(rng.integers(2, 8))
@@ -174,7 +157,7 @@ class TestEstimateWeighted:
                                    for i, (d, l) in enumerate(zip(dists, loads))))
             n = float(rng.random() * 8 + 0.2)
             d_max = ns.d_max
-            w = np.array([weight_factor(d, d_max, n) for d in dists])
+            w = d_max / dists ** n
             reference = float(np.dot(loads, w) / w.sum())
             assert estimate_weighted(ns, n) == pytest.approx(reference, rel=1e-12)
 

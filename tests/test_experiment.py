@@ -103,6 +103,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{dotted} must be finite"):
             resolve_config(base_raw(**{section: value}))
 
+    def test_integral_float_counts_resolve_to_int(self):
+        raw = base_raw(iteration_count=2.0)
+        raw["estimator"].update(method="mlc", cluster_count=3.0, layer_count=2.0)
+        cfg = resolve_config(raw)
+        assert (cfg.iteration_count, cfg.estimator.cluster_count, cfg.estimator.layer_count) == (2, 3, 2)
+        assert all(type(v) is int for v in (cfg.iteration_count, cfg.estimator.cluster_count,
+                                              cfg.estimator.layer_count, cfg.synth.seed))
+
     def test_apply_overrides_unknown_path(self):
         cfg = resolve_config(base_raw())
         with pytest.raises(ConfigError):
@@ -327,6 +335,19 @@ class TestCli:
         (lambda raw: raw.update(sbs_count="abc"), "sbs_count must be an integer, got 'abc'"),
         (lambda raw: raw.update(capacity={"mbs": math.nan}), "capacity.mbs must be finite, got nan"),
         (lambda raw: raw.update(cell_size_m=math.inf), "cell_size_m must be finite"),
+        (lambda raw: raw.update(seed=-1), "seed must be >= 0, got -1"),
+        (lambda raw: raw["estimator"].update(seed=-2), "estimator.seed must be >= 0, got -2"),
+        (lambda raw: raw["synth"].update(seed=-3), "synth.seed must be >= 0, got -3"),
+        (lambda raw: raw.update(iteration_count=2.5), "iteration_count must be an integer, got 2.5"),
+        (lambda raw: raw.update(iteration_count=True), "iteration_count must be an integer, got True"),
+        (lambda raw: raw["estimator"].update(method="mlc", cluster_count=2.5),
+         "estimator.cluster_count must be 'elbow' or an integer >= 1, got 2.5"),
+        (lambda raw: raw["estimator"].update(method="mlc", cluster_count=True),
+         "estimator.cluster_count must be 'elbow' or an integer >= 1, got True"),
+        (lambda raw: raw["estimator"].update(method="mlc", cluster_count="elbo"),
+         "estimator.cluster_count must be 'elbow' or an integer >= 1, got 'elbo'"),
+        (lambda raw: raw["estimator"].update(neighbor_count=True), "estimator.neighbor_count must be an integer"),
+        (lambda raw: raw["synth"].update(grid_side=6.5), "synth.grid_side must be an integer, got 6.5"),
     ])
     def test_bad_config_value_clean_exit(self, tmp_path, capsys, edit, message):
         raw = base_raw()

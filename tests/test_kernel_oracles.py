@@ -4,7 +4,7 @@ loops they replaced.
 `sorted_rank_neighbors`, `loop_plus_plus_init` and `lloyd_kmeans` are the
 earlier implementations, kept here as references: a full sort of every
 candidate, and Lloyd's algorithm on the full (points x centroids) distance
-matrix. `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers
+matrix with its own k-means++ draws for every fit. `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers
 as they were before both read one offload table: greedy built a SwitchVector,
 a load state and a total_power per trial switch-off. The kernels and solvers
 must return exactly what they return.
@@ -16,14 +16,18 @@ import math
 import numpy as np
 import pytest
 
+import vhetsim.estimate
 from vhetsim.estimate import (
     _KMEANS_MAX_ITER,
+    _PointSet,
     CellLoad,
     CellPool,
     ClusterModel,
     Neighbor,
     NeighborSet,
+    elbow_g,
     kmeans_cluster,
+    mlc_estimate,
     rank_neighbors,
     select_random,
 )
@@ -331,6 +335,63 @@ class TestKmeans:
                                              noise_std=0.25, seed=7)).loads
         for seed in range(3):
             assert kmeans_cluster(features, 12, seed) == lloyd_kmeans(features, 12, seed)
+
+
+class TestSharedContext:
+    """Fits that share one point set's context against fresh fits and the loop."""
+
+    def test_out_of_order_g(self):
+        for k, (seed, lam) in enumerate(criterion_5_slots()):
+            if k % 10:
+                continue
+            context = _PointSet(lam)
+            for g in (10, 3, 7, 3):
+                got = kmeans_cluster(lam, g, seed, context=context)
+                assert got == kmeans_cluster(lam, g, seed)
+                assert_same_model(got, lloyd_kmeans(lam, g, seed))
+
+    def test_all_equal_points(self):
+        # every squared distance is 0, so each seed after the first is drawn uniformly
+        pts = np.full(40, 0.25)
+        for seed in range(3):
+            context = _PointSet(pts)
+            for g in (5, 1, 8):
+                got = kmeans_cluster(pts, g, seed, context=context)
+                assert got == kmeans_cluster(pts, g, seed)
+                assert_same_model(got, lloyd_kmeans(pts, g, seed))
+
+    def test_profile_features(self):
+        features = synth_traffic(SynthParams(grid_side=10, spatial_correlation_length=940.0,
+                                             noise_std=0.25, seed=7)).loads
+        context = _PointSet(features)
+        for g in (6, 2, 4):
+            got = kmeans_cluster(features, g, 1, context=context)
+            assert got == kmeans_cluster(features, g, 1) == lloyd_kmeans(features, g, 1)
+
+    def test_layer_zero_reuses_elbow_fit(self, monkeypatch):
+        fits = []
+
+        def recording(points, g, seed, **kwargs):
+            model = kmeans_cluster(points, g, seed, **kwargs)
+            fits.append((np.array(points, dtype=float), g, seed, model))
+            return model
+
+        monkeypatch.setattr(vhetsim.estimate, "kmeans_cluster", recording)
+        rng = np.random.default_rng(4)
+        for k, (seed, lam) in enumerate(criterion_5_slots()):
+            if k % 10:
+                continue
+            g = elbow_g(lam, seed=seed)
+            fits.clear()
+            active = np.ones(len(lam), dtype=bool)
+            active[rng.choice(len(lam), size=50, replace=False)] = False
+            mlc_estimate(lam, active, layers=3, seed=seed)
+            # ten elbow fits, then one per layer; layer 0 is the elbow's fit at g
+            assert [f[1:3] for f in fits] == [(h, seed) for h in range(1, 11)] + \
+                [(g, seed), (g, seed + 1), (g, seed + 2)]
+            assert fits[10][3] is fits[g - 1][3]
+            for points, h, fit_seed, model in fits:
+                assert_same_model(model, lloyd_kmeans(points, h, fit_seed))
 
 
 SBS_P = PowerParams(operational_w=56.0, amplifier_eff=2.6, transmit_w=6.3, sleep_w=6.0)
