@@ -98,6 +98,8 @@ def _merge_section(name: str, defaults: dict, given, required=()) -> dict:
     for key, value in merged.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name}.{key} must be finite, got {value!r}")
+        if isinstance(value, bool) and isinstance(defaults[key], float):
+            raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
     for key in required:
         if merged.get(key) is None:
             raise ConfigError(f"missing required key '{name}.{key}'")
@@ -115,11 +117,13 @@ def _integer(value, key: str, minimum: int | None = None, expected: str = "an in
 
 
 def _number(raw: dict, key: str, kind: type, default):
-    """`raw[key]`, or the default, as an int or a finite float."""
+    """`raw[key]`, or the default, as an int or a finite float; booleans are refused."""
     value = raw.get(key, default)
     if kind is int:
         return _integer(value, key)
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None

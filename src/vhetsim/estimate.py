@@ -192,12 +192,18 @@ def estimate_weighted(neighbors: NeighborSet, n: float) -> float:
     return float(np.clip(np.dot(loads, w) / w.sum(), loads.min(), loads.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterModel:
+    """A k-means fit; `assignment` is a read-only integer array, one cluster per point."""
     centroids: tuple[tuple[float, ...], ...]
-    assignment: tuple[int, ...]
+    assignment: np.ndarray
     sse: float
     sse_history: tuple[float, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        return NotImplemented if not isinstance(other, ClusterModel) else (
+            self.centroids == other.centroids and np.array_equal(self.assignment, other.assignment)
+            and self.sse == other.sse and self.sse_history == other.sse_history)
 
 
 class _PointSet:
@@ -242,7 +248,8 @@ class _PointSet:
         while True:
             yield latest
             # squared distance to the nearest seed so far, kept as a running min
-            dist = ((pts - latest) ** 2).reshape(len(pts), -1).sum(-1)
+            dist = (pts - latest) ** 2
+            dist = dist if pts.ndim == 1 else dist.sum(-1)
             d2 = dist if d2 is None else np.minimum(d2, dist)
             total = d2.sum()
             latest = pts[rng.integers(len(pts))] if total <= 0 else pts[rng.choice(len(pts), p=d2 / total)]
@@ -312,11 +319,26 @@ def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return sq if pts.ndim == 1 else sq.sum(-1)
 
 
-def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Move every centroid to its members' mean; return the squared distances."""
-    for cluster in range(len(centroids)):
-        centroids[cluster] = pts[assignment == cluster].mean(axis=0)
-    return _sq_distances(pts, centroids)
+def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> None:
+    """Move every centroid to its members' mean. A stable (radix) sort of the
+    labels keeps each cluster's members in point order, so each mean adds the
+    values of `pts[assignment == k]` in the same order and has the same bits."""
+    g = len(centroids)
+    grouped = pts[np.argsort(assignment.astype(np.min_scalar_type(g - 1)), kind="stable")]
+    for cluster, members in enumerate(np.split(grouped, np.cumsum(np.bincount(assignment, minlength=g))[:-1])):
+        centroids[cluster] = members.mean(axis=0)
+
+
+def _nearest_is_own(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, own: np.ndarray) -> bool:
+    """Whether the general loop's argmin gives each scalar point its own centroid, at
+    squared distance `own`. Rounding is monotone, so fl((x - c)**2) is unimodal in c
+    over the sorted centroids: a point strictly nearer its own centroid than both of
+    its sorted neighbours has it as the unique argmin. Otherwise the full matrix decides."""
+    rank = np.argsort(centroids)
+    below, above = np.full(len(centroids), np.inf), np.full(len(centroids), np.inf)
+    below[rank[1:]], above[rank[:-1]] = centroids[rank[:-1]], centroids[rank[1:]]
+    strict = (own < (pts - below[assignment]) ** 2) & (own < (pts - above[assignment]) ** 2)
+    return bool(strict.all() or (_sq_distances(pts, centroids).argmin(axis=1) == assignment).all())
 
 
 def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = None) -> ClusterModel:
@@ -326,8 +348,8 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     centroid, so every cluster in the result is non-empty. Scalar points run
     the iterations on sorted prefix sums, and their SSE history before the
     last entry comes from those sums; their fixed point is then checked with
-    the centroids and distances of the general loop, which takes over if the
-    check fails, so the result is always a fixed point of that loop.
+    the centroids and distances of the general loop, on sorted neighbour
+    centroids, and that loop takes over if the check fails.
 
     `context`, built from these very points, shares their sort, k-means++
     draws and finished fits with other calls on them; without one the call
@@ -344,14 +366,14 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     assignment, history = None, []
     if pts.ndim == 1:
         assignment, history, converged = _lloyd_sorted(context, centroids)
-    if assignment is None:
-        d2 = _sq_distances(pts, centroids)
-    else:
-        d2 = _refresh(pts, centroids, assignment)
-        history[-1] = float(d2[rows, assignment].sum())
-        if converged and (d2.argmin(axis=1) == assignment).all():
+    if assignment is not None:
+        _refresh(pts, centroids, assignment)
+        own = (pts - centroids[assignment]) ** 2
+        history[-1] = float(own.sum())
+        if converged and _nearest_is_own(pts, centroids, assignment, own):
             return context.fits.setdefault((g, seed), _model(centroids, assignment, history))
     # d2 always holds the squared distances to the current centroids
+    d2 = _sq_distances(pts, centroids)
     for _ in range(len(history), _KMEANS_MAX_ITER):
         new_assignment = d2.argmin(axis=1)
         # an empty cluster steals the point farthest from its centroid among
@@ -364,7 +386,8 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
             far = int(eligible[own_dist[eligible].argmax()])
             new_assignment[far] = empty
             counts = np.bincount(new_assignment, minlength=g)
-        d2 = _refresh(pts, centroids, new_assignment)
+        _refresh(pts, centroids, new_assignment)
+        d2 = _sq_distances(pts, centroids)
         history.append(float(d2[rows, new_assignment].sum()))
         if assignment is not None and (new_assignment == assignment).all():
             break
@@ -373,12 +396,9 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
 
 
 def _model(centroids: np.ndarray, assignment: np.ndarray, history: list[float]) -> ClusterModel:
-    return ClusterModel(
-        centroids=tuple(map(tuple, centroids.reshape(len(centroids), -1).tolist())),
-        assignment=tuple(assignment.tolist()),
-        sse=history[-1],
-        sse_history=tuple(history),
-    )
+    assignment.setflags(write=False)
+    return ClusterModel(tuple(map(tuple, centroids.reshape(len(centroids), -1).tolist())), assignment,
+                        sse=history[-1], sse_history=tuple(history))
 
 
 def elbow_g(points, g_range=DEFAULT_G_RANGE, seed: int = 0, *, context: _PointSet | None = None) -> int:
@@ -445,27 +465,22 @@ def mlc_estimate(
     global_mean = float(lam[active].mean())
     if not (~active).any():
         return lam
-    feature_matrix = None
-    if features is not None:
-        feature_matrix = np.asarray(features, dtype=float)
-        if len(feature_matrix) != len(lam):
-            raise ValueError("feature matrix must have one row per cell")
-    points = lam if feature_matrix is None else feature_matrix
+    points = lam if features is None else np.asarray(features, dtype=float)
+    if len(points) != len(lam):
+        raise ValueError("feature matrix must have one row per cell")
     context = _PointSet(points)     # shared by the elbow and the first layer
     if clusters == "elbow":
         g = elbow_g(points, g_range=g_range, seed=seed, context=context)
     else:
         g = int(clusters)
     g = min(g, len(lam))
-    first = 0 if feature_matrix is None else layers - 1
+    first = 0 if features is None else layers - 1
     for layer in range(first, layers):
         if layer > first:
             context = _PointSet(lam)    # the layer before changed the values
         model = kmeans_cluster(points, g, seed + layer, context=context)
-        assignment = np.asarray(model.assignment)
         for cluster in range(g):
-            members = assignment == cluster
+            members = model.assignment == cluster
             source = members & active
-            mean = float(lam[source].mean()) if source.any() else global_mean
-            lam[members & ~active] = mean
+            lam[members & ~active] = float(lam[source].mean()) if source.any() else global_mean
     return np.clip(lam, 0.0, 1.0)

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import SimulationError
-from .estimate import CellLoad, CellPool, estimate_mean, estimate_weighted, mlc_estimate, rank_neighbors, select_random
+from .errors import InsufficientNeighborsError, SimulationError
+from .estimate import (CellLoad, CellPool, Neighbor, NeighborSet, estimate_mean, estimate_weighted, mlc_estimate,
+                       rank_neighbors, select_random)
 from .ingest import Corpus, ingest_dataset, load_profile_cache, synth_traffic
 from .metrics import SlotMetrics, ThresholdPolicy, decision_change_rate, empirical_p_err, mean_estimation_error
 from .power import BaseStation, Network, NetworkLoadState, Tier
@@ -95,8 +96,32 @@ def _estimator_seed(spec_seed: int, iteration: int, slot: int) -> int:
     return int(np.random.SeedSequence([spec_seed, iteration, slot]).generate_state(1)[0])
 
 
+class _NearestCells:
+    """Each SBS cell's N + s - 1 nearest cells, ranked once by `rank_neighbors` on the whole corpus.
+    Only sleeping SBSs leave a slot's pool, so less the slot's sleepers they start with its N nearest."""
+
+    def __init__(self, corpus: Corpus, count: int):
+        self.corpus, self.count, self.ranked = corpus, count, {}    # row -> rows, distances
+        self.pool = CellPool(corpus.ids, corpus.xy, np.zeros(len(corpus)))    # ranking reads positions only
+        self.id_order = np.argsort(corpus.ids)
+
+    def neighbors(self, target: CellLoad, row: int, active: np.ndarray, slot: int, n: int) -> NeighborSet:
+        if row not in self.ranked:
+            ranked = rank_neighbors(target, self.pool, self.count).neighbors
+            ids = [nb.cell_id for nb in ranked]
+            self.ranked[row] = (self.id_order[np.searchsorted(self.corpus.ids, ids, sorter=self.id_order)],
+                                np.array([nb.distance for nb in ranked]))
+        rows, distances = self.ranked[row]
+        kept = np.flatnonzero(active[rows])
+        if len(kept) < n:
+            raise InsufficientNeighborsError(f"need {n} active cells, only {len(kept)} available")
+        rows, distances = rows[kept[:n]], distances[kept[:n]].tolist()
+        return NeighborSet(tuple(map(Neighbor, self.corpus.ids[rows].tolist(), distances,
+                                     self.corpus.loads[rows, slot].tolist())))
+
+
 def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,
-                       iteration, last_known):
+                       iteration, last_known, nearest):
     """Return estimated loads for the sleeping SBSs, keyed by SBS index."""
     spec = config.estimator
     if spec.method == "perfect":
@@ -113,25 +138,20 @@ def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,
         for j, row in zip(sleepers, sleeper_rows):
             known = last_known.get(j)
             values[row] = known if known is not None else global_mean
-        estimated = mlc_estimate(
-            values, active,
-            layers=spec.layer_count,
-            clusters=spec.cluster_count,
-            seed=seed,
-            features=corpus.loads if config.cluster_features == "profile" else None,
-        )
+        estimated = mlc_estimate(values, active, layers=spec.layer_count, clusters=spec.cluster_count, seed=seed,
+                                 features=corpus.loads if config.cluster_features == "profile" else None)
         return {j: float(estimated[row]) for j, row in zip(sleepers, sleeper_rows)}
 
-    pool = CellPool(corpus.ids[active], corpus.xy[active], corpus.loads[active, slot])
+    if spec.method.startswith("random"):
+        pool = CellPool(corpus.ids[active], corpus.xy[active], corpus.loads[active, slot])
     out = {}
     for j, row in zip(sleepers, sleeper_rows):
         x, y = corpus.xy[row].tolist()
         target = CellLoad(int(corpus.ids[row]), (x, y), 0.0)
         if spec.method.startswith("distance"):
-            neighbors = rank_neighbors(target, pool, spec.neighbor_count)
+            neighbors = nearest.neighbors(target, row, active, slot, spec.neighbor_count)
         else:
-            neighbors = select_random(target, pool, spec.neighbor_count,
-                                      seed=seed + j)
+            neighbors = select_random(target, pool, spec.neighbor_count, seed=seed + j)
         if spec.method.endswith("weighted") and not spec.method.endswith("unweighted"):
             out[j] = estimate_weighted(neighbors, spec.distance_exponent)
         else:
@@ -164,6 +184,7 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
         return optimize_greedy(net, loads, sinks=sinks)
 
     policy = ThresholdPolicy(config.lambda_th)
+    nearest = _NearestCells(corpus, min(config.estimator.neighbor_count + s - 1, len(corpus) - 1))
     iter_seeds = np.random.SeedSequence(config.seed).spawn(config.iteration_count)
     rows: list[SlotRow] = []
     skipped_total = 0
@@ -182,7 +203,7 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
 
                 estimates = _estimate_sleepers(
                     config, corpus, sbs_rows, sleepers, true_loads,
-                    slot, iteration, last_known,
+                    slot, iteration, last_known, nearest,
                 )
                 for j, bit in enumerate(sv_true.delta):
                     if bit == 1:

@@ -9,7 +9,10 @@ files are read as syntax trees, never imported.
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -123,3 +126,46 @@ def test_bound_parameter_table_covers_the_checks():
                     and node.value.id == "call" and isinstance(node.slice, ast.Constant):
                 read.add(node.slice.value)
     assert read == {name for names in BOUND_PARAMETERS.values() for name in names}
+
+
+def count_calls(monkeypatch, names):
+    """Wrap `vhetsim.estimate` functions as bench/tracer.py does, replacing every
+    reference to each in every loaded vhetsim module; returns the call counts."""
+    estimate = importlib.import_module("vhetsim.estimate")
+    modules = [m for n, m in list(sys.modules.items())
+               if (n == "vhetsim" or n.startswith("vhetsim.")) and m is not None]
+    counts = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        fn = getattr(estimate, name)
+        wrapper = wrap(name, fn)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return counts
+
+
+# the estimator functions whose captured calls the traced bench run replays
+# against its references; a run that bypasses them would pass with nothing checked
+@pytest.mark.parametrize("estimator, checked", [
+    ({"method": "distance_weighted", "neighbor_count": 5, "distance_exponent": 3},
+     ("rank_neighbors", "estimate_weighted")),
+    ({"method": "mlc", "cluster_count": "elbow", "layer_count": 2},
+     ("kmeans_cluster", "elbow_g", "mlc_estimate")),
+])
+def test_checked_functions_are_called(monkeypatch, estimator, checked):
+    from vhetsim.config import resolve_config
+    from vhetsim.experiment import run_experiment
+
+    counts = count_calls(monkeypatch, checked)
+    config = resolve_config({"sbs_count": 4, "synth": {"grid_side": 10, "seed": 2}, "estimator": estimator,
+                             "iteration_count": 1, "slot_count": 2, "optimizer": "greedy"})
+    run_experiment(config)
+    assert all(counts[name] >= 1 for name in checked), counts

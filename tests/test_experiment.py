@@ -348,6 +348,15 @@ class TestCli:
          "estimator.cluster_count must be 'elbow' or an integer >= 1, got 'elbo'"),
         (lambda raw: raw["estimator"].update(neighbor_count=True), "estimator.neighbor_count must be an integer"),
         (lambda raw: raw["synth"].update(grid_side=6.5), "synth.grid_side must be an integer, got 6.5"),
+        (lambda raw: raw.update(cell_size_m=True), "cell_size_m must be a number, got True"),
+        (lambda raw: raw.update(capacity={"sbs": True}), "capacity.sbs must be a number, got True"),
+        (lambda raw: raw.update(base_load={"haps": False}), "base_load.haps must be a number, got False"),
+        (lambda raw: raw.update(power={"sbs": {"transmit_w": True}}), "power.sbs.transmit_w must be a number, got True"),
+        (lambda raw: raw["estimator"].update(distance_exponent=True),
+         "estimator.distance_exponent must be a number, got True"),
+        (lambda raw: raw["synth"].update(noise_std=True), "synth.noise_std must be a number, got True"),
+        (lambda raw: raw["synth"].update(spatial_correlation_length=False),
+         "synth.spatial_correlation_length must be a number, got False"),
     ])
     def test_bad_config_value_clean_exit(self, tmp_path, capsys, edit, message):
         raw = base_raw()

@@ -4,10 +4,12 @@ loops they replaced.
 `sorted_rank_neighbors`, `loop_plus_plus_init` and `lloyd_kmeans` are the
 earlier implementations, kept here as references: a full sort of every
 candidate, and Lloyd's algorithm on the full (points x centroids) distance
-matrix with its own k-means++ draws for every fit. `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers
-as they were before both read one offload table: greedy built a SwitchVector,
-a load state and a total_power per trial switch-off. The kernels and solvers
-must return exactly what they return.
+matrix with its own k-means++ draws for every fit. `rank_neighbors` on each
+slot's pool is the reference for the pipeline's one ranking per SBS cell.
+`trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers as they
+were before both read one offload table: greedy built a SwitchVector, a load
+state and a total_power per trial switch-off. The kernels and solvers must
+return exactly what they return.
 """
 
 import itertools
@@ -20,6 +22,8 @@ import vhetsim.estimate
 from vhetsim.estimate import (
     _KMEANS_MAX_ITER,
     _PointSet,
+    _nearest_is_own,
+    _sq_distances,
     CellLoad,
     CellPool,
     ClusterModel,
@@ -32,7 +36,8 @@ from vhetsim.estimate import (
     select_random,
 )
 from vhetsim.errors import InfeasibleTransitionError, InsufficientNeighborsError
-from vhetsim.ingest import SynthParams, grid_centroids, synth_traffic
+from vhetsim.experiment import _NearestCells
+from vhetsim.ingest import Corpus, SynthParams, grid_centroids, synth_traffic
 from vhetsim.power import (
     BaseStation,
     Network,
@@ -231,7 +236,7 @@ def trial_state_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, 
 def assert_same_model(got, want):
     # scalar points track the SSE history on prefix sums, so only the final
     # SSE is computed as the loop computes it
-    assert got.assignment == want.assignment
+    assert np.array_equal(got.assignment, want.assignment)
     assert len(got.sse_history) == len(want.sse_history)
     assert got.centroids == want.centroids
     assert got.sse == want.sse
@@ -281,6 +286,62 @@ class TestRankNeighbors:
             want = [pool[i].cell_id for i in chosen]
             got = select_random(target, CellPool.of(cells), 7, seed)
             assert [nb.cell_id for nb in got.neighbors] == want
+
+
+def shuffled_corpus(xy, seed):
+    """A corpus at the positions `xy` whose cell ids are not in row order."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(10 * len(xy), size=len(xy), replace=False) + 1
+    return Corpus(ids, xy, rng.random((len(xy), 144)))
+
+
+class TestNearestCells:
+    """One ranking per SBS cell, less each slot's sleepers, against
+    `rank_neighbors` on the slot's pool of active cells."""
+
+    @staticmethod
+    def check(corpus, s, n, seed, slots=6):
+        rng = np.random.default_rng(seed)
+        sbs_rows = rng.choice(len(corpus), size=s, replace=False)
+        nearest = _NearestCells(corpus, min(n + s - 1, len(corpus) - 1))
+        for _ in range(slots):
+            slot = int(rng.integers(144))
+            sleepers = rng.choice(sbs_rows, size=int(rng.integers(1, s + 1)), replace=False)
+            active = np.ones(len(corpus), dtype=bool)
+            active[sleepers] = False
+            pool = CellPool(corpus.ids[active], corpus.xy[active], corpus.loads[active, slot])
+            for row in sleepers.tolist():
+                x, y = corpus.xy[row].tolist()
+                target = CellLoad(int(corpus.ids[row]), (x, y), 0.0)
+                try:
+                    want = rank_neighbors(target, pool, n)
+                except InsufficientNeighborsError as exc:
+                    with pytest.raises(InsufficientNeighborsError) as got:
+                        nearest.neighbors(target, row, active, slot, n)
+                    assert str(got.value) == str(exc)
+                    continue
+                # same ids, math.hypot distances and loads, in the same order
+                assert nearest.neighbors(target, row, active, slot, n) == want
+        assert len(nearest.ranked) <= s
+
+    def test_grid_ties(self):
+        # every ring of cells around a target is an exact distance tie
+        corpus = shuffled_corpus(grid_centroids(range(1, 17 * 17 + 1), 17), seed=5)
+        for trial in range(12):
+            for n in (1, 4, 8, 12, 20):
+                self.check(corpus, s=int(1 + trial % 8 * 3), n=n, seed=100 * trial + n)
+
+    def test_off_grid_positions(self):
+        rng = np.random.default_rng(12)
+        corpus = shuffled_corpus(rng.random((300, 2)) * 3e3, seed=6)
+        for trial in range(10):
+            self.check(corpus, s=20, n=13, seed=trial)
+
+    def test_pool_smaller_than_n(self):
+        # 25 cells, up to 10 asleep: pools of 15 to 24 cells for 20 neighbours
+        corpus = shuffled_corpus(grid_centroids(range(1, 26), 5), seed=7)
+        for trial in range(10):
+            self.check(corpus, s=10, n=20, seed=trial)
 
 
 def criterion_5_slots():
@@ -335,6 +396,71 @@ class TestKmeans:
                                              noise_std=0.25, seed=7)).loads
         for seed in range(3):
             assert kmeans_cluster(features, 12, seed) == lloyd_kmeans(features, 12, seed)
+
+    def test_one_cluster_and_equal_points(self):
+        lam = next(criterion_5_slots())[1]
+        for pts, seeds in ((lam, range(3)), (np.full(50, 0.7), range(3)), (np.zeros(9), range(2))):
+            for g in (1, 2, 3):
+                for seed in seeds:
+                    assert_same_model(kmeans_cluster(pts, g, seed), lloyd_kmeans(pts, g, seed))
+
+    def test_more_than_255_clusters(self):
+        # labels above 255 need a wider dtype for the stable label sort
+        rng = np.random.default_rng(2)
+        for pts, g in ((rng.random(320), 260), (rng.integers(0, 400, size=330) / 399, 300)):
+            model = kmeans_cluster(pts, g, 1)
+            assert model.assignment.max() > 255
+            assert_same_model(model, lloyd_kmeans(pts, g, 1))
+
+    def test_assignment_is_a_read_only_int_array(self):
+        model = kmeans_cluster(next(criterion_5_slots())[1], 4, 0)
+        assert model.assignment.dtype.kind == "i" and not model.assignment.flags.writeable
+
+
+class TestFixedPointCheck:
+    """`_nearest_is_own` against the general loop's argmin over all centroids."""
+
+    @staticmethod
+    def checked(monkeypatch, pts, centroids, assignment):
+        """The check's answer, the full argmin's, and whether the check fell back to it."""
+        pts, centroids, assignment = np.asarray(pts, float), np.asarray(centroids, float), np.asarray(assignment)
+        calls = []
+        monkeypatch.setattr(vhetsim.estimate, "_sq_distances", lambda *a: calls.append(1) or _sq_distances(*a))
+        own = (pts - centroids[assignment]) ** 2
+        got = _nearest_is_own(pts, centroids, assignment, own)
+        want = bool((((pts[:, None] - centroids[None]) ** 2).argmin(axis=1) == assignment).all())
+        return got, want, bool(calls)
+
+    @pytest.mark.parametrize("centroids, assignment, nearest", [
+        ((1.0, 3.0), (0, 0, 1), True),     # 2.0 is halfway: the tie goes to the lower index, its own
+        ((3.0, 1.0), (1, 1, 0), False),    # the same tie goes to index 0, not its own centroid
+        ((1.0, 3.0), (0, 1, 1), False),
+        ((1.0, 1.0, 3.0), (0, 0, 2), True),      # two equal centroids: 0.0 ties between them
+        ((1.0, 1.0, 3.0), (1, 0, 2), False),
+    ])
+    def test_float_ties_fall_back(self, monkeypatch, centroids, assignment, nearest):
+        got, want, fell_back = self.checked(monkeypatch, [0.0, 2.0, 3.0], centroids, assignment)
+        assert fell_back and got == want == nearest
+
+    def test_strict_points_need_no_matrix(self, monkeypatch):
+        assert self.checked(monkeypatch, [0.0, 0.5, 2.9, 3.0], [0.25, 3.0], [0, 0, 1, 1]) == (True, True, False)
+        assert self.checked(monkeypatch, [0.3, 0.4], [0.35], [0, 0]) == (True, True, False)
+
+    def test_grid_values(self, monkeypatch):
+        # points and centroids on a grid of quarters: many exact ties
+        rng = np.random.default_rng(11)
+        fell_back = 0
+        for _ in range(400):
+            g = int(rng.integers(1, 6))
+            pts = rng.integers(0, 13, size=40) / 4
+            centroids = rng.integers(0, 13, size=g) / 4
+            nearest = ((pts[:, None] - centroids[None]) ** 2).argmin(axis=1)
+            if rng.random() < 0.5:
+                nearest[rng.integers(40)] = rng.integers(g)
+            got, want, fell = self.checked(monkeypatch, pts, centroids, nearest)
+            assert got == want
+            fell_back += fell
+        assert 0 < fell_back < 400
 
 
 class TestSharedContext:
