@@ -19,6 +19,10 @@ from .ingest import SLOTS_PER_DAY, SynthParams, DEFAULT_CELL_SIZE_M
 from .power import PowerParams
 from .switching import DEFAULT_EXHAUSTIVE_LIMIT
 
+# libyaml where PyYAML was built with it: the same documents, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 OPTIMIZERS = ("greedy", "exhaustive")
 SINK_MODES = ("HAPS_only", "MBS_and_HAPS")
 
@@ -83,7 +87,7 @@ class ExperimentConfig:
 
     def to_yaml(self) -> str:
         """Canonical serialization; byte-stable for a fixed resolved config."""
-        return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=False)
+        return yaml.dump(self.to_dict(), Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
 
 
 def _merge_section(name: str, defaults: dict, given, required=()) -> dict:
@@ -238,7 +242,7 @@ def load_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:

@@ -138,16 +138,20 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
     the candidates are then ordered by their `math.hypot` distance and id.
     """
     pool = CellPool.of(cells)
-    others = np.flatnonzero(pool.ids != target.cell_id)
-    if len(others) < n_neighbors:
+    itself = np.flatnonzero(pool.ids == target.cell_id)
+    available = len(pool.ids) - len(itself)
+    if available < n_neighbors:
         raise InsufficientNeighborsError(
-            f"need {n_neighbors} active cells, only {len(others)} available"
+            f"need {n_neighbors} active cells, only {available} available"
         )
-    dx = pool.xy[others, 0] - target.position[0]
-    dy = pool.xy[others, 1] - target.position[1]
+    dx = pool.xy[:, 0] - target.position[0]
+    dy = pool.xy[:, 1] - target.position[1]
     d2 = dx * dx + dy * dy
+    # NaN, not inf, leaves the target out: it sorts after every distance and
+    # fails every comparison, even where a squared distance overflows to inf
+    d2[itself] = np.nan
     kth = np.partition(d2, n_neighbors - 1)[n_neighbors - 1]
-    candidates = others[d2 <= kth * (1.0 + _D2_SLACK)]
+    candidates = np.flatnonzero(d2 <= kth * (1.0 + _D2_SLACK))
     ranked = sorted(pool.neighbors(candidates, target), key=lambda nb: (nb.distance, nb.cell_id))
     return NeighborSet(tuple(ranked[:n_neighbors]))
 
@@ -319,13 +323,17 @@ def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return sq if pts.ndim == 1 else sq.sum(-1)
 
 
+def _grouped(values: np.ndarray, labels: np.ndarray, g: int) -> list[np.ndarray]:
+    """`values[labels == k]` for k in 0..g-1. A stable (radix) sort of the labels
+    keeps each group in row order, so a mean over a group adds the same values in
+    the same order as one over the mask and has the same bits."""
+    grouped = values[np.argsort(labels.astype(np.min_scalar_type(g - 1)), kind="stable")]
+    return np.split(grouped, np.cumsum(np.bincount(labels, minlength=g))[:-1])
+
+
 def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> None:
-    """Move every centroid to its members' mean. A stable (radix) sort of the
-    labels keeps each cluster's members in point order, so each mean adds the
-    values of `pts[assignment == k]` in the same order and has the same bits."""
-    g = len(centroids)
-    grouped = pts[np.argsort(assignment.astype(np.min_scalar_type(g - 1)), kind="stable")]
-    for cluster, members in enumerate(np.split(grouped, np.cumsum(np.bincount(assignment, minlength=g))[:-1])):
+    """Move every centroid to its members' mean."""
+    for cluster, members in enumerate(_grouped(pts, assignment, len(centroids))):
         centroids[cluster] = members.mean(axis=0)
 
 
@@ -478,9 +486,8 @@ def mlc_estimate(
     for layer in range(first, layers):
         if layer > first:
             context = _PointSet(lam)    # the layer before changed the values
-        model = kmeans_cluster(points, g, seed + layer, context=context)
-        for cluster in range(g):
-            members = model.assignment == cluster
-            source = members & active
-            lam[members & ~active] = float(lam[source].mean()) if source.any() else global_mean
+        labels = kmeans_cluster(points, g, seed + layer, context=context).assignment
+        means = np.array([members.mean() if len(members) else global_mean
+                          for members in _grouped(lam[active], labels[active], g)])
+        lam[~active] = means[labels[~active]]
     return np.clip(lam, 0.0, 1.0)

@@ -79,15 +79,16 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
     return synth_traffic(config.synth)
 
 
-def build_network(config: ExperimentConfig, sbs_profiles) -> Network:
+def build_network(config: ExperimentConfig, corpus: Corpus, sbs_rows) -> Network:
+    """The HAPS, the MBS and one SBS at each of the corpus rows `sbs_rows`, in that order."""
     haps = BaseStation("haps", Tier.HAPS, (0.0, 0.0), config.capacity["haps"],
                        config.power_params("haps"))
     mbs = BaseStation("mbs", Tier.MBS, (0.0, 0.0), config.capacity["mbs"],
                       config.power_params("mbs"))
     sbs = tuple(
-        BaseStation(f"sbs-{p.cell_id}", Tier.SBS, p.position, config.capacity["sbs"],
+        BaseStation(f"sbs-{cell_id}", Tier.SBS, (x, y), config.capacity["sbs"],
                     config.power_params("sbs"))
-        for p in sbs_profiles
+        for cell_id, (x, y) in zip(corpus.ids[sbs_rows].tolist(), corpus.xy[sbs_rows].tolist())
     )
     return Network(haps, mbs, sbs)
 
@@ -191,7 +192,7 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
     for iteration, seed_seq in enumerate(iter_seeds):
         rng = np.random.default_rng(seed_seq)
         sbs_rows = rng.choice(len(corpus), size=s, replace=False).tolist()
-        net = build_network(config, [corpus[row] for row in sbs_rows])
+        net = build_network(config, corpus, sbs_rows)
         last_known: dict[int, float] = {}
         for slot in range(config.slot_count):
             try:

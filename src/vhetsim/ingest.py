@@ -18,6 +18,7 @@ import math
 import os
 import warnings
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,8 +87,8 @@ class Corpus:
     `ids` holds one integer cell id per cell, `xy` the (cells, 2) centroid
     positions in metres and `loads` the (cells, 144) load factors in [0, 1].
     All three are read-only. The values are checked once, here: a bad corpus
-    raises `NormalizationError`. `len()`, indexing and iteration give one
-    `TrafficProfile` per cell, in row order.
+    raises `NormalizationError`, and so do two cells at one position.
+    Iteration gives one `TrafficProfile` per cell, in row order.
     """
 
     ids: np.ndarray
@@ -107,15 +108,23 @@ class Corpus:
             raise NormalizationError(
                 f"{cells} cells need {cells} x 2 positions and {cells} x {SLOTS_PER_DAY} "
                 f"load factors, got {xy.shape} and {loads.shape}")
-        bad = ~(np.isfinite(xy).all(axis=1) & np.isfinite(loads).all(axis=1))
-        if bad.any():
-            raise NormalizationError(f"cell {ids[bad][0]}: non-finite position or load factor")
-        bad = ((loads < 0.0) | (loads > 1.0)).any(axis=1)
-        if bad.any():
+        # a NaN fails both comparisons, so one pass over each array clears a good corpus
+        if not (np.isfinite(xy).all() and 0.0 <= loads.min() and loads.max() <= 1.0):
+            bad = ~(np.isfinite(xy).all(axis=1) & np.isfinite(loads).all(axis=1))
+            if bad.any():
+                raise NormalizationError(f"cell {ids[bad][0]}: non-finite position or load factor")
+            bad = ((loads < 0.0) | (loads > 1.0)).any(axis=1)
             raise NormalizationError(f"cell {ids[bad][0]}: load factor outside [0, 1]")
         unique, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise NormalizationError(f"duplicate cell id {unique[counts > 1][0]}")
+        # a stable sort keeps equal positions in row order
+        order = np.lexsort((xy[:, 1], xy[:, 0]))
+        shared = np.flatnonzero((xy[order[1:]] == xy[order[:-1]]).all(axis=1))
+        if len(shared):
+            first, second = order[shared[0]], order[shared[0] + 1]
+            x, y = xy[first].tolist()
+            raise NormalizationError(f"cells {ids[first]} and {ids[second]} share the position ({x!r}, {y!r})")
         object.__setattr__(self, "ids", _read_only(ids.astype(np.int64, copy=False)))
         object.__setattr__(self, "xy", _read_only(xy))
         object.__setattr__(self, "loads", _read_only(loads))
@@ -123,12 +132,9 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, row: int) -> TrafficProfile:
-        x, y = self.xy[row].tolist()
-        return TrafficProfile(int(self.ids[row]), (x, y), tuple(self.loads[row].tolist()))
-
     def __iter__(self):
-        return (self[row] for row in range(len(self)))
+        for cell_id, (x, y), slots in zip(self.ids.tolist(), self.xy.tolist(), self.loads.tolist()):
+            yield TrafficProfile(cell_id, (x, y), tuple(slots))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
@@ -343,28 +349,61 @@ def save_profile_cache(corpus: Corpus, path) -> None:
             fh.write(f"{cell_id},{x!r},{y!r},{','.join(map(repr, slots.tolist()))}\n")
 
 
+# The sidecar key is a two-level hash tree: the sha256 of the concatenated
+# sha256 digests of the CSV's consecutive 1 MiB leaves (the last one shorter).
+# The leaf size is fixed, so the key does not depend on how many threads hash.
+_LEAF = 1 << 20
+_DIGEST_PREFIX = "sha256-tree-1MiB:"
+_HASH_WORKERS = 2
+
+
+def _tree_digest(leaf_digests: bytes) -> str:
+    return _DIGEST_PREFIX + hashlib.sha256(leaf_digests).hexdigest()
+
+
 class _HashingReader(io.RawIOBase):
-    """A binary file that feeds every byte read through it into a sha256."""
+    """A binary file that hashes every byte read through it as the leaves of the sidecar key."""
 
     def __init__(self, raw):
         self.raw = raw
-        self.sha256 = hashlib.sha256()
+        self.leaves: list[bytes] = []
+        self._leaf, self._filled = hashlib.sha256(), 0
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
         count = self.raw.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:count])
+        view = memoryview(buffer)[:count]
+        while view:
+            take = min(len(view), _LEAF - self._filled)
+            self._leaf.update(view[:take])
+            self._filled += take
+            view = view[take:]
+            if self._filled == _LEAF:
+                self.leaves.append(self._leaf.digest())
+                self._leaf, self._filled = hashlib.sha256(), 0
         return count
 
+    def digest(self) -> str:
+        """The key of the bytes read so far."""
+        leaves = self.leaves + [self._leaf.digest()] if self._filled else self.leaves
+        return _tree_digest(b"".join(leaves))
 
-def _file_digest(path) -> str:
-    sha256 = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            sha256.update(chunk)
-    return sha256.hexdigest()
+
+def _hash_leaves(fd: int, first: int, stop: int) -> bytes:
+    """The concatenated sha256 digests of leaves first..stop-1 of the open file."""
+    buffer = memoryview(bytearray(min(_LEAF, (stop - first) * _LEAF)))
+    digests = []
+    for leaf in range(first, stop):
+        filled = 0
+        while filled < len(buffer):
+            count = os.preadv(fd, [buffer[filled:]], leaf * _LEAF + filled)
+            if count == 0:
+                break
+            filled += count
+        digests.append(hashlib.sha256(buffer[:filled]).digest())
+    return b"".join(digests)
 
 
 def _sidecar_path(path) -> str:
@@ -372,7 +411,7 @@ def _sidecar_path(path) -> str:
 
 
 def _parse_profile_cache(path) -> tuple[Corpus, str]:
-    """Parse a cache CSV; returns the corpus and the sha256 of the bytes parsed."""
+    """Parse a cache CSV; returns the corpus and the sidecar key of the bytes parsed."""
     try:
         with open(path, "rb") as raw:
             hashed = _HashingReader(raw)
@@ -395,23 +434,34 @@ def _parse_profile_cache(path) -> tuple[Corpus, str]:
     if not (np.isfinite(ids) & (ids == np.rint(ids))).all():
         raise NormalizationError(f"{path}: cell ids must be integers")
     try:
-        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:]), hashed.sha256.hexdigest()
+        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:]), hashed.digest()
     except NormalizationError as exc:
         raise NormalizationError(f"{path}: {exc}") from None
 
 
 def _read_sidecar(path) -> Corpus | None:
-    """The corpus stored beside the cache under the cache's current digest,
-    or None when the sidecar is missing, stale or unreadable, or fails the
-    corpus checks."""
+    """The corpus stored beside the cache under the cache's current key, or
+    None when the sidecar is missing, stale or unreadable, or fails the
+    corpus checks. Worker threads hash the CSV's leaves, in one contiguous
+    run each, while this thread reads the arrays and checks the corpus."""
     try:
-        data = np.load(_sidecar_path(path), allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            return None
-        with data:
-            if str(data["digest"]) != _file_digest(path):
+        with contextlib.ExitStack() as stack:
+            # opened here, not by np.load, which leaves a file it fails to read open
+            data = np.load(stack.enter_context(open(_sidecar_path(path), "rb")), allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
                 return None
-            return Corpus(data["ids"], data["xy"], data["loads"])
+            stack.enter_context(data)
+            digest = str(data["digest"])
+            if not digest.startswith(_DIGEST_PREFIX):
+                return None                     # an older version's key: stale
+            fd = os.open(path, os.O_RDONLY)
+            stack.callback(os.close, fd)        # after the workers are joined
+            leaves = -(-os.fstat(fd).st_size // _LEAF)
+            bounds = [leaves * k // _HASH_WORKERS for k in range(_HASH_WORKERS + 1)]
+            pool = stack.enter_context(ThreadPoolExecutor(_HASH_WORKERS))
+            runs = [pool.submit(_hash_leaves, fd, first, stop) for first, stop in zip(bounds, bounds[1:])]
+            corpus = Corpus(data["ids"], data["xy"], data["loads"])
+            return corpus if _tree_digest(b"".join(run.result() for run in runs)) == digest else None
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, NormalizationError):
         return None
 
@@ -437,10 +487,13 @@ def load_profile_cache(path) -> Corpus:
     raise NormalizationError.
 
     The CSV is parsed once per content: the parsed arrays are stored beside
-    it in `<path>.npz`, keyed by the sha256 of the CSV bytes the parse read,
-    and a later call whose CSV has that digest reads the arrays instead.
-    A missing, stale or damaged sidecar only costs a parse, so deleting it
-    is always safe; a bad CSV never gets one.
+    it in `<path>.npz`, keyed by a hash tree of the CSV bytes the parse read
+    (`sha256-tree-1MiB:` and the sha256 of the concatenated sha256 digests
+    of its 1 MiB leaves), and a later call whose CSV has that key reads the
+    arrays instead. A missing, stale or damaged sidecar only costs a parse,
+    so deleting it is always safe; a bad CSV never gets one. A sidecar
+    written by an older version, keyed by the plain sha256 of the CSV, is
+    stale: the CSV is parsed once more and the sidecar rewritten.
     """
     corpus = _read_sidecar(path)
     if corpus is None:

@@ -292,6 +292,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
 
+    def test_coincident_cells_clean_exit(self, tmp_path, capsys):
+        cache = tmp_path / "cache.csv"
+        save_profile_cache(synth_traffic(SynthParams(grid_side=3, spatial_correlation_length=235.0,
+                                                     noise_std=0.1, seed=5)), cache)
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        # cell 8 moved onto cell 2's centroid
+        lines[8] = ",".join(lines[8].split(",")[:1] + lines[2].split(",")[1:3] + lines[8].split(",")[3:])
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = base_raw(dataset=str(cache), grid_side=3)
+        del raw["synth"]
+        assert main(["simulate", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == f"error: {cache}: cells 2 and 8 share the position (352.5, 117.5)\n"
+        assert not (tmp_path / "cache.csv.npz").exists()
+
     def test_ingest_non_finite_clean_exit(self, tmp_path, capsys):
         data = tmp_path / "cdr"
         data.mkdir()

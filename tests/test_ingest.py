@@ -1,11 +1,17 @@
 import csv
+import errno
+import hashlib
 import os
+import threading
 
 import numpy as np
 import pytest
 
+import vhetsim.ingest
 from vhetsim.errors import CdrParseError, NormalizationError
 from vhetsim.ingest import (
+    _parse_profile_cache,
+    _read_sidecar,
     CdrRecord,
     Corpus,
     SynthParams,
@@ -134,13 +140,13 @@ class TestNormalize:
     def test_ratio(self):
         raw = {1: np.full(144, 25.0), 2: np.full(144, 50.0)}
         profiles = normalize_profiles(raw, grid_side=2)
-        assert profiles[0].slots[0] == pytest.approx(0.5)
+        assert profiles.loads[0, 0] == pytest.approx(0.5)
 
     def test_peak_is_one(self):
         raw = {1: np.zeros(144)}
         raw[1][7] = 50.0
         profiles = normalize_profiles(raw, grid_side=2)
-        assert profiles[0].slots[7] == 1.0
+        assert profiles.loads[0, 7] == 1.0
 
     def test_hand_normalization(self):
         raw = {1: np.zeros(144), 2: np.zeros(144)}
@@ -224,17 +230,25 @@ def small_corpus():
                                      noise_std=0.2, seed=5))
 
 
+def moved(xy, positions):
+    """A copy of `xy` with the rows in `positions` moved to the given positions."""
+    xy = xy.copy()
+    for row, position in positions.items():
+        xy[row] = position
+    return xy
+
+
 class TestCorpus:
     def test_items_are_traffic_profiles(self):
         corpus = small_corpus()
         items = list(corpus)
         assert len(corpus) == len(items) == 9
         assert all(isinstance(p, TrafficProfile) for p in items)
-        assert items[4] == corpus[4]
+        assert items[4] == TrafficProfile(5, tuple(corpus.xy[4].tolist()), tuple(corpus.loads[4].tolist()))
         assert list(items[0].position) == grid_centroids([1], 3)[0].tolist()
         assert isinstance(items[0].position, tuple) and isinstance(items[0].slots, tuple)
         assert items[0].slots == tuple(corpus.loads[0].tolist())
-        assert corpus[-1].cell_id == 9
+        assert items[-1].cell_id == 9
 
     def test_arrays_are_read_only(self):
         corpus = small_corpus()
@@ -254,6 +268,10 @@ class TestCorpus:
         (lambda ids, xy, loads: (ids, xy, loads + 1.0), "outside"),
         (lambda ids, xy, loads: (np.r_[ids[:-1], 1], xy, loads), "duplicate cell id 1"),
         (lambda ids, xy, loads: (ids[:0], xy[:0], loads[:0]), "empty"),
+        (lambda ids, xy, loads: (ids, moved(xy, {6: xy[2]}), loads),
+         r"cells 3 and 7 share the position \(587\.5, 117\.5\)"),
+        (lambda ids, xy, loads: (ids, moved(xy, {8: (0.0, 0.0), 0: (-0.0, -0.0)}), loads),
+         r"cells 1 and 9 share the position \(-0\.0, -0\.0\)"),
     ])
     def test_bad_values_rejected(self, change, message):
         c = small_corpus()
@@ -334,6 +352,29 @@ def write_npy(sidecar):
         np.save(fh, np.zeros(3))
 
 
+SIDECAR_DAMAGE = [
+    pytest.param(lambda sidecar: sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2]),
+                 id="truncated"),
+    pytest.param(lambda sidecar: sidecar.write_bytes(b"\x00 not a sidecar" * 64), id="garbage"),
+    pytest.param(lambda sidecar: sidecar.write_bytes(b""), id="empty"),
+    pytest.param(write_npy, id="npy"),
+    pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays.pop("xy")), id="missing-key"),
+    pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays["loads"].__setitem__((1, 2), 1.5)),
+                 id="out-of-range"),
+]
+
+
+def serial_tree_digest(data: bytes, leaf: int) -> str:
+    """The sidecar key of `data` with leaves of `leaf` bytes, hashed in one pass."""
+    leaves = b"".join(hashlib.sha256(data[at:at + leaf]).digest() for at in range(0, len(data), leaf))
+    return "sha256-tree-1MiB:" + hashlib.sha256(leaves).hexdigest()
+
+
+def sidecar_digest(sidecar) -> str:
+    with np.load(sidecar) as data:
+        return str(data["digest"])
+
+
 class TestProfileCacheSidecar:
     """load_profile_cache keeps the parsed arrays in `<cache>.npz`, keyed by
     the sha256 of the CSV, and parses the CSV only when that sidecar does not
@@ -384,14 +425,7 @@ class TestProfileCacheSidecar:
         corpus = load_profile_cache(path)
         assert corpus.loads[2, column - 3] == float(new) != float(old)
 
-    @pytest.mark.parametrize("damage", [
-        lambda sidecar: sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2]),
-        lambda sidecar: sidecar.write_bytes(b"\x00 not a sidecar" * 64),
-        lambda sidecar: sidecar.write_bytes(b""),
-        write_npy,
-        lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays.pop("xy")),
-        lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays["loads"].__setitem__((1, 2), 1.5)),
-    ], ids=["truncated", "garbage", "empty", "npy", "missing-key", "out-of-range"])
+    @pytest.mark.parametrize("damage", SIDECAR_DAMAGE)
     def test_bad_sidecar_falls_back_and_is_rewritten(self, tmp_path, monkeypatch, damage):
         path = self.write_cache(tmp_path)
         load_profile_cache(path)
@@ -407,3 +441,108 @@ class TestProfileCacheSidecar:
         assert load_profile_cache(path) == small_corpus()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.csv", "cache.csv.npz"]
         assert (tmp_path / "cache.csv.npz").is_dir()
+
+    LEAF = 64
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("size", [0, 1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 17])
+    def test_tree_digest_matches_serial(self, tmp_path, monkeypatch, size, workers):
+        monkeypatch.setattr(vhetsim.ingest, "_LEAF", self.LEAF)
+        monkeypatch.setattr(vhetsim.ingest, "_HASH_WORKERS", workers)
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "cache.csv"
+        path.write_bytes(data)
+        corpus = small_corpus()
+
+        def keyed(digest):
+            with open(tmp_path / "cache.csv.npz", "wb") as fh:
+                np.savez(fh, digest=np.array(digest), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+            return _read_sidecar(path)
+
+        # only the CSV's bytes are hashed, so they need not parse
+        assert keyed(serial_tree_digest(data, self.LEAF)) == corpus
+        assert keyed(serial_tree_digest(data + b"\n", self.LEAF)) is None
+        if size > self.LEAF:
+            assert keyed(serial_tree_digest(data, 2 * self.LEAF)) is None
+
+    @pytest.mark.parametrize("leaf", [64, 1000, 8192, 1 << 20])
+    def test_parse_key_is_load_key(self, tmp_path, monkeypatch, leaf):
+        # the parse reads through an 8 KiB buffer, so most leaves end inside a read
+        monkeypatch.setattr(vhetsim.ingest, "_LEAF", leaf)
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
+        assert sidecar_digest(tmp_path / "cache.csv.npz") == serial_tree_digest(path.read_bytes(), leaf)
+        self.forbid_parse(monkeypatch)
+        assert load_profile_cache(path) == small_corpus()
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_same_length_edit_in_each_leaf_is_parsed(self, tmp_path, monkeypatch, where):
+        leaf = 1000
+        monkeypatch.setattr(vhetsim.ingest, "_LEAF", leaf)
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
+        data = bytearray(path.read_bytes())
+        leaves = -(-len(data) // leaf)
+        first = {"first": 0, "middle": leaves // 2, "last": leaves - 1}[where] * leaf
+        # the first decimal digit of a load factor that starts inside the leaf
+        at = next(i + 3 for i in range(first, min(first + leaf, len(data)) - 3)
+                  if data[i:i + 3] == b",0." and data[i + 3:i + 4].isdigit())
+        data[at] = ord(str((int(chr(data[at])) + 1) % 10))
+        stat = path.stat()
+        path.write_bytes(data)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        corpus = load_profile_cache(path)
+        assert corpus != small_corpus()
+        assert corpus == _parse_profile_cache(path)[0]
+
+    def test_older_sidecar_is_parsed_once_and_rewritten(self, tmp_path, monkeypatch):
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
+        sidecar = tmp_path / "cache.csv.npz"
+        # an older version keyed the sidecar by the plain sha256 hex digest of the CSV
+        plain = hashlib.sha256(path.read_bytes()).hexdigest()
+        rewrite_sidecar(sidecar, lambda arrays: arrays.__setitem__("digest", np.array(plain)))
+        parses = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parses.append(args) or loadtxt(*args, **kwargs))
+        for _ in range(3):
+            assert load_profile_cache(path) == small_corpus()
+        assert len(parses) == 1
+        assert sidecar_digest(sidecar) == serial_tree_digest(path.read_bytes(), 1 << 20)
+
+    def test_no_thread_or_fd_leaks(self, tmp_path, monkeypatch):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+        path = self.write_cache(tmp_path)
+        sidecar = tmp_path / "cache.csv.npz"
+        threads, fds = threading.active_count(), open_fds()
+        load_profile_cache(path)                        # miss
+        load_profile_cache(path)                        # hit
+        for damage in SIDECAR_DAMAGE:
+            damage.values[0](sidecar)
+            load_profile_cache(path)
+        save_profile_cache(synth_traffic(SynthParams(grid_side=3, spatial_correlation_length=235.0,
+                                                     noise_std=0.2, seed=6)), path)
+        load_profile_cache(path)                        # stale sidecar
+        path.write_text("cell_id\n", encoding="utf-8")
+        with pytest.raises(NormalizationError):
+            load_profile_cache(path)                    # stale sidecar, bad CSV
+        self.write_cache(tmp_path)
+        load_profile_cache(path)
+
+        def unreadable(*args):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "preadv", unreadable)
+            assert load_profile_cache(path) == small_corpus()   # a hashing thread fails
+        path.rename(tmp_path / "moved.csv")
+        with pytest.raises(NormalizationError, match="cannot read"):
+            load_profile_cache(path)                    # no CSV beside the sidecar
+        path.mkdir()
+        with pytest.raises(NormalizationError, match="cannot read"):
+            load_profile_cache(path)                    # a directory in its place
+        assert threading.active_count() == threads
+        if fds is not None:
+            assert open_fds() == fds

@@ -116,6 +116,23 @@ def lloyd_kmeans(points, g, seed):
     )
 
 
+def masked_mlc_estimate(loads, active, layers, clusters="elbow", seed=0, features=None):
+    """`mlc_estimate` as it filled the sleepers before the stable label sort:
+    three masks over every cell per cluster and layer."""
+    lam = np.array(loads, dtype=float)
+    global_mean = float(lam[active].mean())
+    points = lam if features is None else np.asarray(features, dtype=float)
+    g = min(elbow_g(points, seed=seed) if clusters == "elbow" else int(clusters), len(lam))
+    first = 0 if features is None else layers - 1
+    for layer in range(first, layers):
+        model = kmeans_cluster(lam if features is None else points, g, seed + layer)
+        for cluster in range(g):
+            members = model.assignment == cluster
+            source = members & active
+            lam[members & ~active] = float(lam[source].mean()) if source.any() else global_mean
+    return np.clip(lam, 0.0, 1.0)
+
+
 def _sleep_set_state(net: Network, loads: NetworkLoadState, sleepers, targets):
     """Apply a batch of switch-offs; None if any sink constraint is violated."""
     state = loads
@@ -272,6 +289,23 @@ class TestRankNeighbors:
         for _ in range(30):
             target = CellLoad(-1, tuple(float(v) for v in rng.random(2) * 3e3), 0.0)
             assert rank_neighbors(target, cells, 13) == sorted_rank_neighbors(target, cells, 13)
+
+    def test_target_in_pool_is_not_counted(self):
+        cells = grid_cells(2, [0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(InsufficientNeighborsError, match="^need 4 active cells, only 3 available$"):
+            rank_neighbors(cells[0], CellPool.of(cells), 4)
+        assert rank_neighbors(cells[0], cells, 3) == sorted_rank_neighbors(cells[0], cells, 3)
+
+    def test_overflowing_squared_distances(self):
+        # every squared distance is inf, so every other cell is a candidate and
+        # `math.hypot` alone orders them; the target still never is one
+        cells = [CellLoad(i, (x * 1e300, y * 1e300), 0.5) for i, (x, y)
+                 in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (-1.5, 0.5), (0.0, -1.0)])]
+        for target in cells:
+            for n in (1, 2, 4):
+                with np.errstate(over="ignore"):
+                    got = rank_neighbors(target, cells, n)
+                assert got == sorted_rank_neighbors(target, cells, n)
 
     def test_pool_iterates_as_cell_loads(self):
         cells = grid_cells(4, np.linspace(0.0, 1.0, 16))
@@ -518,6 +552,50 @@ class TestSharedContext:
             assert fits[10][3] is fits[g - 1][3]
             for points, h, fit_seed, model in fits:
                 assert_same_model(model, lloyd_kmeans(points, h, fit_seed))
+
+
+class TestMlcFill:
+    """`mlc_estimate` against the masked loop it replaced, bit for bit."""
+
+    def test_criterion_5_slots(self):
+        rng = np.random.default_rng(11)
+        for k, (seed, lam) in enumerate(criterion_5_slots()):
+            if k % 4:
+                continue
+            active = np.ones(len(lam), dtype=bool)
+            active[rng.choice(len(lam), size=50, replace=False)] = False
+            for layers in (1, 3):
+                got = mlc_estimate(lam, active, layers=layers, seed=seed)
+                assert np.array_equal(got, masked_mlc_estimate(lam, active, layers, seed=seed))
+
+    def test_cluster_without_active_members(self):
+        # the five sleepers' guesses sit far from every active load, so they
+        # form a cluster of their own and fall back to the global active mean
+        rng = np.random.default_rng(2)
+        lam = np.r_[rng.uniform(0.1, 0.3, 60), np.full(5, 0.95)]
+        active = np.arange(len(lam)) < 60
+        got = mlc_estimate(lam, active, layers=1, clusters=2, seed=3)
+        assert np.array_equal(got, masked_mlc_estimate(lam, active, 1, clusters=2, seed=3))
+        assert np.all(got[~active] == lam[active].mean())
+        got = mlc_estimate(lam, active, layers=3, clusters=2, seed=3)
+        assert np.array_equal(got, masked_mlc_estimate(lam, active, 3, clusters=2, seed=3))
+
+    def test_labels_above_255(self):
+        rng = np.random.default_rng(6)
+        lam = rng.random(700)
+        active = rng.random(700) > 0.2
+        got = mlc_estimate(lam, active, layers=2, clusters=300, seed=1)
+        assert kmeans_cluster(lam, 300, 1).assignment.max() > 255
+        assert np.array_equal(got, masked_mlc_estimate(lam, active, 2, clusters=300, seed=1))
+
+    def test_profile_features(self):
+        corpus = synth_traffic(SynthParams(grid_side=10, spatial_correlation_length=940.0,
+                                           noise_std=0.25, seed=7))
+        active = np.random.default_rng(3).random(100) > 0.3
+        lam = corpus.loads[:, 50]
+        got = mlc_estimate(lam, active, layers=2, clusters=4, seed=5, features=corpus.loads)
+        assert np.array_equal(got, masked_mlc_estimate(lam, active, 2, clusters=4, seed=5,
+                                                       features=corpus.loads))
 
 
 SBS_P = PowerParams(operational_w=56.0, amplifier_eff=2.6, transmit_w=6.3, sleep_w=6.0)
