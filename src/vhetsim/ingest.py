@@ -133,8 +133,8 @@ class Corpus:
         return len(self.ids)
 
     def __iter__(self):
-        for cell_id, (x, y), slots in zip(self.ids.tolist(), self.xy.tolist(), self.loads.tolist()):
-            yield TrafficProfile(cell_id, (x, y), tuple(slots))
+        for cell_id, (x, y), slots in zip(self.ids.tolist(), self.xy.tolist(), self.loads):
+            yield TrafficProfile(cell_id, (x, y), tuple(slots.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
