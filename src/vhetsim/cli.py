@@ -8,10 +8,10 @@ import sys
 
 import yaml
 
-from .config import apply_overrides, load_config
+from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import SimulationError
 from .experiment import load_corpus, run_experiment
-from .ingest import ingest_dataset, save_profile_cache
+from .ingest import DEFAULT_CELL_SIZE_M, ingest_dataset, save_profile_cache
 from .reporting import emit_report, emit_sweep
 
 
@@ -19,7 +19,10 @@ def _parse_vary(arg: str) -> tuple[str, list]:
     key, _, values = arg.partition("=")
     if not values:
         raise argparse.ArgumentTypeError(f"--vary expects key=v1,v2,..., got {arg!r}")
-    return key, [yaml.safe_load(v) for v in values.split(",")]
+    try:
+        return key, [yaml.safe_load(v) for v in values.split(",")]
+    except yaml.YAMLError:
+        raise argparse.ArgumentTypeError(f"--vary expects YAML values, got {arg!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ing = sub.add_parser("ingest", help="pre-aggregate a CDR dataset into a profile cache")
     ing.add_argument("--dataset", required=True)
     ing.add_argument("--cache", required=True)
-    ing.add_argument("--grid-side", type=int, default=100)
-    ing.add_argument("--cell-size", type=float, default=235.0)
+    ing.add_argument("--grid-side", type=int, default=ExperimentConfig.grid_side)
+    ing.add_argument("--cell-size", type=float, default=DEFAULT_CELL_SIZE_M)
     ing.add_argument("--days", type=int, default=None)
     return parser
 

@@ -7,14 +7,15 @@ above SBS transmit power); they are not measured values.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import MISSING, dataclass, field, asdict, fields
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import yaml
 
 from .errors import ConfigError
-from .estimate import EstimatorSpec
+from .estimate import METHODS, EstimatorSpec
 from .ingest import SLOTS_PER_DAY, SynthParams, DEFAULT_CELL_SIZE_M
 from .power import PowerParams
 from .switching import DEFAULT_EXHAUSTIVE_LIMIT
@@ -22,9 +23,6 @@ from .switching import DEFAULT_EXHAUSTIVE_LIMIT
 # libyaml where PyYAML was built with it: the same documents, several times faster
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-OPTIMIZERS = ("greedy", "exhaustive")
-SINK_MODES = ("HAPS_only", "MBS_and_HAPS")
 
 DEFAULT_POWER = {
     "sbs": {"operational_w": 56.0, "amplifier_eff": 2.6, "transmit_w": 6.3, "sleep_w": 6.0},
@@ -36,21 +34,6 @@ DEFAULT_POWER = {
 # collapsing to all-off.
 DEFAULT_CAPACITY = {"sbs": 10.0, "mbs": 50.0, "haps": 50.0}
 DEFAULT_BASE_LOAD = {"mbs": 0.2, "haps": 0.1}
-DEFAULT_ESTIMATOR = {
-    "method": None,
-    "neighbor_count": 20,
-    "distance_exponent": 1.0,
-    "cluster_count": "elbow",
-    "layer_count": 1,
-    "seed": 0,
-}
-DEFAULT_SYNTH = {
-    "grid_side": None,
-    "spatial_correlation_length": 3 * DEFAULT_CELL_SIZE_M,
-    "noise_std": 0.2,
-    "seed": 0,
-    "cell_size_m": DEFAULT_CELL_SIZE_M,
-}
 
 
 @dataclass(frozen=True)
@@ -61,7 +44,7 @@ class ExperimentConfig:
     synth: SynthParams | None = None
     iteration_count: int = 300
     slot_count: int = SLOTS_PER_DAY
-    power: dict = field(default_factory=lambda: dict(DEFAULT_POWER))
+    power: dict = field(default_factory=lambda: {t: PowerParams(**p) for t, p in DEFAULT_POWER.items()})
     capacity: dict = field(default_factory=lambda: dict(DEFAULT_CAPACITY))
     base_load: dict = field(default_factory=lambda: dict(DEFAULT_BASE_LOAD))
     lambda_th: float = 0.1
@@ -74,168 +57,151 @@ class ExperimentConfig:
     seed: int = 0
     output: str | None = None
 
-    def power_params(self, tier: str) -> PowerParams:
-        return PowerParams(**self.power[tier])
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["estimator"] = asdict(self.estimator)
-        data["synth"] = asdict(self.synth) if self.synth else None
-        if data["synth"] is not None:
-            data["synth"]["temporal_profile"] = [float(v) for v in data["synth"]["temporal_profile"]]
-        return data
+    def __post_init__(self):
+        if self.dataset is None and self.synth is None:
+            raise ConfigError("either 'dataset' or 'synth' is required")
 
     def to_yaml(self) -> str:
         """Canonical serialization; byte-stable for a fixed resolved config."""
-        return yaml.dump(self.to_dict(), Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+        return yaml.dump(asdict(self), Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
 
 
-def _merge_section(name: str, defaults: dict, given, required=()) -> dict:
-    if given is None:
-        given = {}
+# Each check takes a value and its dotted key, and returns the value to store or raises
+# ConfigError("<key> must be <what>, got <value>"). A real's bound is keyed by its <what>.
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+           "in [0, 1]": lambda v: 0 <= v <= 1, "in (0, 1)": lambda v: 0 < v < 1}
+
+
+def _fail(key: str, what: str, value):
+    raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
+def _integer(low: int | None = None, high: int | None = None, words=(), what: str = "an integer"):
+    """An int in [low, high], or one of `words`; refuses booleans, strings and fractions."""
+    def check(value, key):
+        if value in words:
+            return value
+        if isinstance(value, bool) or not (isinstance(value, Integral)
+                                           or isinstance(value, float) and value.is_integer()):
+            _fail(key, what, value)
+        if low is not None and value < low or high is not None and value > high:
+            _fail(key, f">= {low}" if high is None else f"in [{low}, {high}]", value)
+        return int(value)
+    return check
+
+
+def _real(bound: str | None = None, cast=None):
+    """A finite real within `bound`, stored as given unless `cast`; booleans and strings are refused."""
+    def check(value, key):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            _fail(key, "a number", value)
+        if not abs(value) <= sys.float_info.max:
+            _fail(key, "finite", value)
+        if bound and not _BOUNDS[bound](value):
+            _fail(key, bound, value)
+        return value if cast is None else cast(value)
+    return check
+
+
+def _choice(*options: str):
+    def check(value, key):
+        if value not in options:
+            _fail(key, f"one of {options}", value)
+        return value
+    return check
+
+
+def _path(value, key):
+    if not isinstance(value, str):
+        _fail(key, "a path", value)
+    return value
+
+
+def _profile(value, key):
+    if not isinstance(value, (list, tuple)):
+        _fail(key, "a list of numbers", value)
+    finite = _real(cast=float)
+    return tuple(finite(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+class _Section(NamedTuple):
+    """Keys checked by `table`, filled from `defaults`, built by `owner` with its cross-field rules."""
+    table: dict
+    defaults: dict
+    owner: type = dict
+
+
+def _owned(owner: type, table: dict) -> _Section:
+    return _Section(table, {f.name: f.default for f in fields(owner) if f.default is not MISSING}, owner)
+
+
+_ROOT = _owned(ExperimentConfig, {
+    "sbs_count": _integer(1),
+    "estimator": _owned(EstimatorSpec, {
+        "method": _choice(*METHODS, "perfect"),
+        "neighbor_count": _integer(1),
+        "distance_exponent": _real("> 0"),
+        "cluster_count": _integer(1, words=("elbow",), what="'elbow' or an integer >= 1"),
+        "layer_count": _integer(1),
+        "seed": _integer(0),
+    }),
+    "dataset": _path,
+    "synth": _owned(SynthParams, {
+        "grid_side": _integer(2),
+        "spatial_correlation_length": _real("> 0"),
+        "noise_std": _real(">= 0"),
+        "seed": _integer(0),
+        "temporal_profile": _profile,
+        "cell_size_m": _real("> 0"),
+    }),
+    "iteration_count": _integer(1),
+    "slot_count": _integer(1, SLOTS_PER_DAY),
+    "power": _Section({tier: _Section({"operational_w": _real(), "amplifier_eff": _real("> 0"),
+                                       "transmit_w": _real("> 0"), "sleep_w": _real(">= 0")},
+                                      defaults, PowerParams)
+                       for tier, defaults in DEFAULT_POWER.items()}, {}),
+    "capacity": _Section({tier: _real("> 0") for tier in DEFAULT_CAPACITY}, DEFAULT_CAPACITY),
+    "base_load": _Section({tier: _real("in [0, 1]") for tier in DEFAULT_BASE_LOAD}, DEFAULT_BASE_LOAD),
+    "lambda_th": _real("in (0, 1)", float),
+    "optimizer": _choice("greedy", "exhaustive"),
+    "offload_sinks": _choice("HAPS_only", "MBS_and_HAPS"),
+    "exhaustive_limit": _integer(),
+    "grid_side": _integer(),
+    "cell_size_m": _real("> 0", float),
+    "cluster_features": _choice("scalar", "profile"),
+    "seed": _integer(0),
+    "output": _path,
+})
+
+
+def resolve_config(raw, section: _Section = _ROOT, name: str = ""):
+    """Check `raw` key by key against `section`, the whole config by default. An absent key takes
+    the default of the field that owns it; a key without one is required, and one whose default is
+    None (`dataset`, `synth`, `output`, `synth.temporal_profile`) may be null, as may a section,
+    which then takes its defaults. A bad, unknown or missing key raises ConfigError naming it."""
+    given = {} if raw is None else raw
     if not isinstance(given, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
-    unknown = set(given) - set(defaults)
+        raise ConfigError(f"section '{name}' must be a mapping" if name else "config root must be a mapping")
+    prefix = f"{name}." if name else ""
+    unknown = given.keys() - section.table.keys()
     if unknown:
-        raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
-    merged = {**defaults, **given}
-    for key, value in merged.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name}.{key} must be finite, got {value!r}")
-        if isinstance(value, bool) and isinstance(defaults[key], float):
-            raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
-    for key in required:
-        if merged.get(key) is None:
-            raise ConfigError(f"missing required key '{name}.{key}'")
-    return merged
-
-
-def _integer(value, key: str, minimum: int | None = None, expected: str = "an integer") -> int:
-    """`value` as an int; booleans, strings and non-integral numbers are refused."""
-    if isinstance(value, bool) or not (isinstance(value, Integral)
-                                       or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _number(raw: dict, key: str, kind: type, default):
-    """`raw[key]`, or the default, as an int or a finite float; booleans are refused."""
-    value = raw.get(key, default)
-    if kind is int:
-        return _integer(value, key)
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return number
-
-
-def resolve_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw mapping and fill defaults; unknown keys are rejected."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    known = {
-        "dataset", "synth", "sbs_count", "iteration_count", "slot_count",
-        "estimator", "power", "capacity", "base_load", "lambda_th",
-        "optimizer", "offload_sinks", "exhaustive_limit", "grid_side",
-        "cell_size_m", "cluster_features", "seed", "output",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
-
-    if raw.get("sbs_count") is None:
-        raise ConfigError("missing required key 'sbs_count'")
-    if raw.get("dataset") is None and raw.get("synth") is None:
-        raise ConfigError("either 'dataset' or 'synth' is required")
-
-    est = _merge_section("estimator", DEFAULT_ESTIMATOR, raw.get("estimator"), required=("method",))
-    for key in ("neighbor_count", "layer_count", "seed"):
-        est[key] = _integer(est[key], f"estimator.{key}", minimum=0 if key == "seed" else None)
-    if est["cluster_count"] != "elbow":
-        est["cluster_count"] = _integer(est["cluster_count"], "estimator.cluster_count", 1,
-                                        expected="'elbow' or an integer >= 1")
-    try:
-        estimator = EstimatorSpec(**est)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"estimator: {exc}") from None
-
-    synth = None
-    if raw.get("synth") is not None:
-        synth_defaults = {**DEFAULT_SYNTH, "temporal_profile": None}
-        sy = _merge_section("synth", synth_defaults, raw["synth"], required=("grid_side",))
-        for key in ("grid_side", "seed"):
-            sy[key] = _integer(sy[key], f"synth.{key}", minimum=0 if key == "seed" else None)
-        if sy["temporal_profile"] is not None:
-            sy["temporal_profile"] = tuple(sy["temporal_profile"])
+        raise ConfigError(f"unknown key '{prefix}{min(unknown, key=str)}'")
+    resolved = {}
+    for key, check in section.table.items():
+        default = section.defaults.get(key)
+        value = given.get(key, default)
+        if value is None and default is None and key in section.defaults:
+            resolved[key] = None
+        elif isinstance(check, _Section):
+            resolved[key] = resolve_config(value, check, prefix + key)
+        elif value is None and default is None:
+            raise ConfigError(f"missing required key '{prefix}{key}'")
         else:
-            del sy["temporal_profile"]
-        try:
-            synth = SynthParams(**sy)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"synth: {exc}") from None
-
-    power = {
-        tier: _merge_section(f"power.{tier}", DEFAULT_POWER[tier], section)
-        for tier, section in _merge_section("power", {t: None for t in DEFAULT_POWER}, raw.get("power")).items()
-    }
-    for tier, params in power.items():
-        try:
-            PowerParams(**params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"power.{tier}: {exc}") from None
-    capacity = _merge_section("capacity", DEFAULT_CAPACITY, raw.get("capacity"))
-    for tier, c in capacity.items():
-        if not (isinstance(c, Real) and c > 0):
-            raise ConfigError(f"capacity.{tier} must be a number > 0, got {c!r}")
-    base_load = _merge_section("base_load", DEFAULT_BASE_LOAD, raw.get("base_load"))
-    for tier, v in base_load.items():
-        if not (isinstance(v, Real) and 0.0 <= v <= 1.0):
-            raise ConfigError(f"base_load.{tier} must lie in [0, 1], got {v!r}")
-
-    cfg = dict(
-        sbs_count=_number(raw, "sbs_count", int, None),
-        estimator=estimator,
-        dataset=raw.get("dataset"),
-        synth=synth,
-        iteration_count=_number(raw, "iteration_count", int, 300),
-        slot_count=_number(raw, "slot_count", int, SLOTS_PER_DAY),
-        power=power,
-        capacity=capacity,
-        base_load=base_load,
-        lambda_th=_number(raw, "lambda_th", float, 0.1),
-        optimizer=raw.get("optimizer", "greedy"),
-        offload_sinks=raw.get("offload_sinks", "MBS_and_HAPS"),
-        exhaustive_limit=_number(raw, "exhaustive_limit", int, DEFAULT_EXHAUSTIVE_LIMIT),
-        grid_side=_number(raw, "grid_side", int, 100),
-        cell_size_m=_number(raw, "cell_size_m", float, DEFAULT_CELL_SIZE_M),
-        cluster_features=raw.get("cluster_features", "scalar"),
-        seed=_integer(raw.get("seed", 0), "seed", minimum=0),
-        output=raw.get("output"),
-    )
-    if cfg["sbs_count"] < 1:
-        raise ConfigError("sbs_count must be >= 1")
-    if cfg["iteration_count"] < 1:
-        raise ConfigError("iteration_count must be >= 1")
-    if not 1 <= cfg["slot_count"] <= SLOTS_PER_DAY:
-        raise ConfigError(f"slot_count must lie in [1, {SLOTS_PER_DAY}]")
-    if cfg["cell_size_m"] <= 0:
-        raise ConfigError("cell_size_m must be > 0")
-    if not 0.0 < cfg["lambda_th"] < 1.0:
-        raise ConfigError("lambda_th must lie strictly inside (0, 1)")
-    if cfg["optimizer"] not in OPTIMIZERS:
-        raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-    if cfg["offload_sinks"] not in SINK_MODES:
-        raise ConfigError(f"offload_sinks must be one of {SINK_MODES}")
-    if cfg["cluster_features"] not in ("scalar", "profile"):
-        raise ConfigError("cluster_features must be 'scalar' or 'profile'")
-    return ExperimentConfig(**cfg)
+            resolved[key] = check(value, prefix + key)
+    try:
+        return section.owner(**resolved)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -247,20 +213,18 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return resolve_config(raw or {})
+    return resolve_config(raw)
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     """Re-resolve the config with dotted-path overrides (e.g. estimator.n...)."""
-    data = config.to_dict()
+    data = asdict(config)
     for dotted, value in overrides.items():
         node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
-                raise ConfigError(f"unknown override path '{dotted}'")
-            node = node[part]
-        if parts[-1] not in node:
+        *parents, last = dotted.split(".")
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or last not in node:
             raise ConfigError(f"unknown override path '{dotted}'")
-        node[parts[-1]] = value
+        node[last] = value
     return resolve_config(data)

@@ -81,13 +81,10 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
 
 def build_network(config: ExperimentConfig, corpus: Corpus, sbs_rows) -> Network:
     """The HAPS, the MBS and one SBS at each of the corpus rows `sbs_rows`, in that order."""
-    haps = BaseStation("haps", Tier.HAPS, (0.0, 0.0), config.capacity["haps"],
-                       config.power_params("haps"))
-    mbs = BaseStation("mbs", Tier.MBS, (0.0, 0.0), config.capacity["mbs"],
-                      config.power_params("mbs"))
+    haps = BaseStation("haps", Tier.HAPS, (0.0, 0.0), config.capacity["haps"], config.power["haps"])
+    mbs = BaseStation("mbs", Tier.MBS, (0.0, 0.0), config.capacity["mbs"], config.power["mbs"])
     sbs = tuple(
-        BaseStation(f"sbs-{cell_id}", Tier.SBS, (x, y), config.capacity["sbs"],
-                    config.power_params("sbs"))
+        BaseStation(f"sbs-{cell_id}", Tier.SBS, (x, y), config.capacity["sbs"], config.power["sbs"])
         for cell_id, (x, y) in zip(corpus.ids[sbs_rows].tolist(), corpus.xy[sbs_rows].tolist())
     )
     return Network(haps, mbs, sbs)

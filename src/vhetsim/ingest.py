@@ -19,7 +19,7 @@ import os
 import warnings
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -148,15 +148,17 @@ class SynthParams:
     """Parameters for the synthetic spatially-correlated traffic generator."""
 
     grid_side: int
-    spatial_correlation_length: float
-    noise_std: float
-    seed: int
-    temporal_profile: tuple[float, ...] = field(default=None)
+    spatial_correlation_length: float = 3 * DEFAULT_CELL_SIZE_M
+    noise_std: float = 0.2
+    seed: int = 0
+    temporal_profile: tuple[float, ...] | None = None
     cell_size_m: float = DEFAULT_CELL_SIZE_M
 
     def __post_init__(self):
         if self.grid_side < 2:
             raise ValueError("grid_side must be >= 2")
+        if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
+            raise ValueError("cell_size_m must be finite and > 0")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         if self.spatial_correlation_length <= 0:

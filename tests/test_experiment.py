@@ -4,7 +4,8 @@ import math
 import pytest
 
 from vhetsim.cli import main
-from vhetsim.config import apply_overrides, load_config, resolve_config
+from vhetsim.config import ExperimentConfig, apply_overrides, load_config, resolve_config
+from vhetsim.estimate import EstimatorSpec
 from vhetsim.errors import ConfigError
 from vhetsim.experiment import load_corpus, run_experiment
 from vhetsim.ingest import (
@@ -110,6 +111,12 @@ class TestConfig:
         assert (cfg.iteration_count, cfg.estimator.cluster_count, cfg.estimator.layer_count) == (2, 3, 2)
         assert all(type(v) is int for v in (cfg.iteration_count, cfg.estimator.cluster_count,
                                               cfg.estimator.layer_count, cfg.synth.seed))
+
+    def test_minimal_config_takes_the_dataclass_defaults(self):
+        cfg = resolve_config({"sbs_count": 2, "synth": {"grid_side": 4}, "estimator": {"method": "mlc"}})
+        assert cfg.estimator == EstimatorSpec(method="mlc")
+        assert cfg.synth == SynthParams(grid_side=4)
+        assert cfg == ExperimentConfig(sbs_count=2, estimator=cfg.estimator, synth=cfg.synth)
 
     def test_apply_overrides_unknown_path(self):
         cfg = resolve_config(base_raw())
@@ -371,6 +378,21 @@ class TestCli:
         (lambda raw: raw["synth"].update(noise_std=True), "synth.noise_std must be a number, got True"),
         (lambda raw: raw["synth"].update(spatial_correlation_length=False),
          "synth.spatial_correlation_length must be a number, got False"),
+        (lambda raw: raw.update(dataset=5), "dataset must be a path, got 5"),
+        (lambda raw: raw.update(output=5), "output must be a path, got 5"),
+        (lambda raw: raw["synth"].update(temporal_profile=5),
+         "synth.temporal_profile must be a list of numbers, got 5"),
+        (lambda raw: raw["synth"].update(temporal_profile=["a"] * 144),
+         "synth.temporal_profile[0] must be a number, got 'a'"),
+        (lambda raw: raw["synth"].update(temporal_profile=[math.nan] * 144),
+         "synth.temporal_profile[0] must be finite, got nan"),
+        (lambda raw: raw["synth"].update(cell_size_m=0), "synth.cell_size_m must be > 0, got 0"),
+        (lambda raw: raw["synth"].update(cell_size_m=-5), "synth.cell_size_m must be > 0, got -5"),
+        (lambda raw: raw["synth"].update(cell_size_m="x"), "synth.cell_size_m must be a number, got 'x'"),
+        (lambda raw: raw.update(power={"sbs": {"sleep_w": "x"}}), "power.sbs.sleep_w must be a number, got 'x'"),
+        (lambda raw: raw["synth"].update(spatial_correlation_length="x"),
+         "synth.spatial_correlation_length must be a number, got 'x'"),
+        (lambda raw: raw.update(lambda_th="0.1"), "lambda_th must be a number, got '0.1'"),
     ])
     def test_bad_config_value_clean_exit(self, tmp_path, capsys, edit, message):
         raw = base_raw()
@@ -378,6 +400,14 @@ class TestCli:
         assert main(["simulate", "--config", str(self.write_config(tmp_path, raw))]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("vary", ["estimator.neighbor_count=[1", "estimator.seed"])
+    def test_sweep_bad_vary_clean_exit(self, tmp_path, capsys, vary):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(self.write_config(tmp_path)), "--vary", vary])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --vary: --vary expects" in err and repr(vary) in err and "Traceback" not in err
 
     def test_missing_config_clean_exit(self, tmp_path, capsys):
         missing = tmp_path / "absent.yaml"

@@ -224,6 +224,16 @@ class TestSynthTraffic:
         # one-sided test at far better than the 0.01 level
         assert diff > 3 * stderr
 
+    def test_defaults_on_the_fields(self):
+        params = SynthParams(grid_side=4)
+        assert (params.spatial_correlation_length, params.noise_std, params.seed) == (705.0, 0.2, 0)
+        assert params.cell_size_m == 235.0 and len(params.temporal_profile) == 144
+
+    @pytest.mark.parametrize("cell_size_m", [0, -5, 0.0, float("nan"), float("inf")])
+    def test_bad_cell_size_refused(self, cell_size_m):
+        with pytest.raises(ValueError, match="cell_size_m must be finite and > 0"):
+            SynthParams(grid_side=4, cell_size_m=cell_size_m)
+
 
 def small_corpus():
     return synth_traffic(SynthParams(grid_side=3, spatial_correlation_length=235.0,
