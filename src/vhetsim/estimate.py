@@ -62,25 +62,61 @@ class Neighbor(NamedTuple):
     load: float
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    neighbors: tuple[Neighbor, ...]
+def _owned(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)      # a copy, so the caller's array may change later
+    if array.ndim != 1:
+        raise ValueError("neighbor arrays must be one-dimensional")
+    array.flags.writeable = False
+    return array
 
-    def __post_init__(self):
-        if any(n.distance <= 0 for n in self.neighbors):
+
+@dataclass(frozen=True, eq=False, init=False)
+class NeighborSet:
+    """A target's neighbours in rank order, as three read-only arrays that the
+    set owns: `ids`, `distances` and `loads`.
+
+    Built from `Neighbor` tuples, `NeighborSet((Neighbor(...), ...))`, or from
+    arrays with `NeighborSet.from_arrays`; either copies its input.
+    `neighbors` gives the `Neighbor` tuples back.
+    """
+
+    ids: np.ndarray
+    distances: np.ndarray
+    loads: np.ndarray
+
+    def __init__(self, neighbors=()):
+        neighbors = tuple(neighbors)
+        self._fill([n.cell_id for n in neighbors], [n.distance for n in neighbors], [n.load for n in neighbors])
+
+    @classmethod
+    def from_arrays(cls, ids, distances, loads) -> NeighborSet:
+        neighbor_set = cls.__new__(cls)
+        neighbor_set._fill(ids, distances, loads)
+        return neighbor_set
+
+    def _fill(self, ids, distances, loads) -> None:
+        ids, distances, loads = _owned(ids, np.int64), _owned(distances, np.float64), _owned(loads, np.float64)
+        if not len(ids) == len(distances) == len(loads):
+            raise ValueError("neighbor arrays must have one entry per neighbor")
+        if (distances <= 0).any():
             raise DegenerateDistanceError("neighbor distances must be > 0")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "loads", loads)
+
+    @property
+    def neighbors(self) -> tuple[Neighbor, ...]:
+        return tuple(map(Neighbor, self.ids.tolist(), self.distances.tolist(), self.loads.tolist()))
 
     @property
     def d_max(self) -> float:
-        return max(n.distance for n in self.neighbors)
+        return float(self.distances.max())
 
-    @property
-    def loads(self) -> np.ndarray:
-        return np.array([n.load for n in self.neighbors])
-
-    @property
-    def distances(self) -> np.ndarray:
-        return np.array([n.distance for n in self.neighbors])
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NeighborSet):
+            return NotImplemented
+        return (np.array_equal(self.ids, other.ids) and np.array_equal(self.distances, other.distances)
+                and np.array_equal(self.loads, other.loads))
 
 
 class CellLoad(NamedTuple):
@@ -95,14 +131,17 @@ class CellLoad(NamedTuple):
 class CellPool:
     """The observable cells of one slot as arrays; iterates as CellLoads.
 
-    `ids` holds the cell ids, `xy` the (cells, 2) positions and `loads` the
-    current load of each cell. The estimators accept a pool or any iterable
-    of CellLoads.
+    `ids` holds the cell ids, `xy` the (cells, 2) positions, kept column-major
+    so that each coordinate column is contiguous, and `loads` the current load
+    of each cell. The estimators accept a pool or any iterable of CellLoads.
     """
 
     ids: np.ndarray
     xy: np.ndarray
     loads: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "xy", np.asfortranarray(self.xy, dtype=np.float64))
 
     @classmethod
     def of(cls, cells) -> CellPool:
@@ -119,11 +158,11 @@ class CellPool:
         for cell_id, (x, y), load in zip(self.ids.tolist(), self.xy.tolist(), self.loads.tolist()):
             yield CellLoad(cell_id, (x, y), load)
 
-    def neighbors(self, rows: np.ndarray, target: CellLoad) -> list[Neighbor]:
-        """The cells at `rows` as Neighbors of the target, at their `math.hypot` distance."""
-        tx, ty = target.position
-        return [Neighbor(cell_id, math.hypot(x - tx, y - ty), load) for cell_id, (x, y), load
-                in zip(self.ids[rows].tolist(), self.xy[rows].tolist(), self.loads[rows].tolist())]
+
+def _hypot(pool: CellPool, rows: np.ndarray, target: CellLoad) -> list[float]:
+    """The `math.hypot` distance from the target to each pool cell at `rows`."""
+    tx, ty = target.position
+    return [math.hypot(x - tx, y - ty) for x, y in zip(pool.xy[rows, 0].tolist(), pool.xy[rows, 1].tolist())]
 
 
 # relative slack on the k-th squared distance: far above the rounding of a
@@ -144,16 +183,22 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
         raise InsufficientNeighborsError(
             f"need {n_neighbors} active cells, only {available} available"
         )
-    dx = pool.xy[:, 0] - target.position[0]
+    # dx * dx + dy * dy, in place
+    d2 = pool.xy[:, 0] - target.position[0]
+    d2 *= d2
     dy = pool.xy[:, 1] - target.position[1]
-    d2 = dx * dx + dy * dy
+    dy *= dy
+    d2 += dy
     # NaN, not inf, leaves the target out: it sorts after every distance and
     # fails every comparison, even where a squared distance overflows to inf
     d2[itself] = np.nan
     kth = np.partition(d2, n_neighbors - 1)[n_neighbors - 1]
     candidates = np.flatnonzero(d2 <= kth * (1.0 + _D2_SLACK))
-    ranked = sorted(pool.neighbors(candidates, target), key=lambda nb: (nb.distance, nb.cell_id))
-    return NeighborSet(tuple(ranked[:n_neighbors]))
+    # the candidate's place last, so equal (distance, id) pairs keep pool order
+    ranked = sorted(zip(_hypot(pool, candidates, target), pool.ids[candidates].tolist(),
+                        candidates.tolist()))[:n_neighbors]
+    rows = np.array([row for _, _, row in ranked], dtype=np.intp)
+    return NeighborSet.from_arrays(pool.ids[rows], [d for d, _, _ in ranked], pool.loads[rows])
 
 
 def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> NeighborSet:
@@ -165,13 +210,13 @@ def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> Neigh
             f"need {n_neighbors} active cells, only {len(others)} available"
         )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(others), size=n_neighbors, replace=False)
-    return NeighborSet(tuple(pool.neighbors(others[chosen], target)))
+    rows = others[rng.choice(len(others), size=n_neighbors, replace=False)]
+    return NeighborSet.from_arrays(pool.ids[rows], _hypot(pool, rows, target), pool.loads[rows])
 
 
 def estimate_mean(neighbors: NeighborSet) -> float:
     """Unweighted average of the neighbor loads."""
-    if not neighbors.neighbors:
+    if not len(neighbors.loads):
         raise InsufficientNeighborsError("cannot average an empty neighbor set")
     return float(neighbors.loads.mean())
 
@@ -183,17 +228,15 @@ def estimate_weighted(neighbors: NeighborSet, n: float) -> float:
     algebraically identical to the d_max/d**n weighting (the constant cancels)
     but immune to overflow/underflow at large exponents.
     """
-    if not neighbors.neighbors:
+    if not len(neighbors.loads):
         raise InsufficientNeighborsError("cannot estimate from an empty neighbor set")
     if n <= 0:
         raise ValueError("distance exponent must be > 0")
-    d = neighbors.distances
-    if np.any(d <= 0):
-        raise DegenerateDistanceError("weighting is undefined at zero distance")
+    d = neighbors.distances                 # all > 0: a NeighborSet refuses any other
     w = (d.min() / d) ** n
     loads = neighbors.loads
     # clamp away float noise: the result is a convex combination of the loads
-    return float(np.clip(np.dot(loads, w) / w.sum(), loads.min(), loads.max()))
+    return float(min(max(np.dot(loads, w) / w.sum(), loads.min()), loads.max()))
 
 
 @dataclass(frozen=True, eq=False)

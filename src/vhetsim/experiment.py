@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import InsufficientNeighborsError, SimulationError
-from .estimate import (CellLoad, CellPool, Neighbor, NeighborSet, estimate_mean, estimate_weighted, mlc_estimate,
+from .estimate import (CellLoad, CellPool, NeighborSet, estimate_mean, estimate_weighted, mlc_estimate,
                        rank_neighbors, select_random)
 from .ingest import Corpus, ingest_dataset, load_profile_cache, synth_traffic
 from .metrics import SlotMetrics, ThresholdPolicy, decision_change_rate, empirical_p_err, mean_estimation_error
@@ -105,17 +105,16 @@ class _NearestCells:
 
     def neighbors(self, target: CellLoad, row: int, active: np.ndarray, slot: int, n: int) -> NeighborSet:
         if row not in self.ranked:
-            ranked = rank_neighbors(target, self.pool, self.count).neighbors
-            ids = [nb.cell_id for nb in ranked]
-            self.ranked[row] = (self.id_order[np.searchsorted(self.corpus.ids, ids, sorter=self.id_order)],
-                                np.array([nb.distance for nb in ranked]))
+            ranked = rank_neighbors(target, self.pool, self.count)
+            self.ranked[row] = (self.id_order[np.searchsorted(self.corpus.ids, ranked.ids, sorter=self.id_order)],
+                                ranked.distances)
         rows, distances = self.ranked[row]
         kept = np.flatnonzero(active[rows])
         if len(kept) < n:
             raise InsufficientNeighborsError(f"need {n} active cells, only {len(kept)} available")
-        rows, distances = rows[kept[:n]], distances[kept[:n]].tolist()
-        return NeighborSet(tuple(map(Neighbor, self.corpus.ids[rows].tolist(), distances,
-                                     self.corpus.loads[rows, slot].tolist())))
+        kept = kept[:n]
+        rows = rows[kept]
+        return NeighborSet.from_arrays(self.corpus.ids[rows], distances[kept], self.corpus.loads[rows, slot])
 
 
 def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,

@@ -16,6 +16,7 @@ import hashlib
 import io
 import math
 import os
+import threading
 import warnings
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -271,7 +272,7 @@ def synth_traffic(params: SynthParams) -> Corpus:
     Gaussian-smoothed per-cell offset (busy and quiet neighborhoods) and a
     smaller per-slot smoothed noise field, so nearby cells move together
     while distant cells are nearly independent. Deterministic for a fixed
-    seed.
+    seed. A corpus without any positive load raises `NormalizationError`.
     """
     rng = np.random.default_rng(params.seed)
     side = params.grid_side
@@ -291,6 +292,8 @@ def synth_traffic(params: SynthParams) -> Corpus:
         for t in range(SLOTS_PER_DAY):
             loads[:, t] += static + slot_std * smooth_field().ravel()
         np.clip(loads, 0.0, 1.0, out=loads)
+    if loads.max() <= 0.0:
+        raise NormalizationError("all-zero corpus: the temporal profile and noise give no positive load")
     ids = np.arange(1, side * side + 1, dtype=np.int64)
     return Corpus(ids, grid_centroids(ids, side, params.cell_size_m), loads)
 
@@ -356,7 +359,7 @@ def save_profile_cache(corpus: Corpus, path) -> None:
 # The leaf size is fixed, so the key does not depend on how many threads hash.
 _LEAF = 1 << 20
 _DIGEST_PREFIX = "sha256-tree-1MiB:"
-_HASH_WORKERS = 2
+_HASH_WORKERS = 1      # helper threads; the calling thread hashes beside them
 
 
 def _tree_digest(leaf_digests: bytes) -> str:
@@ -393,19 +396,29 @@ class _HashingReader(io.RawIOBase):
         return _tree_digest(b"".join(leaves))
 
 
-def _hash_leaves(fd: int, first: int, stop: int) -> bytes:
-    """The concatenated sha256 digests of leaves first..stop-1 of the open file."""
-    buffer = memoryview(bytearray(min(_LEAF, (stop - first) * _LEAF)))
-    digests = []
-    for leaf in range(first, stop):
+def _leaf_counter(leaves: int):
+    """A thread-safe callable that gives each leaf index 0..leaves-1 once, then None."""
+    order, lock = iter(range(leaves)), threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return next(order, None)
+
+    return take
+
+
+def _hash_leaves(fd: int, size: int, take, digests: list[bytes]) -> None:
+    """Hash the leaves that `take` gives of the open file of `size` bytes, until it
+    gives None, writing each leaf's sha256 digest into `digests` at its index."""
+    buffer = memoryview(bytearray(min(_LEAF, size)))
+    while (leaf := take()) is not None:
         filled = 0
         while filled < len(buffer):
             count = os.preadv(fd, [buffer[filled:]], leaf * _LEAF + filled)
             if count == 0:
                 break
             filled += count
-        digests.append(hashlib.sha256(buffer[:filled]).digest())
-    return b"".join(digests)
+        digests[leaf] = hashlib.sha256(buffer[:filled]).digest()
 
 
 def _sidecar_path(path) -> str:
@@ -444,8 +457,9 @@ def _parse_profile_cache(path) -> tuple[Corpus, str]:
 def _read_sidecar(path) -> Corpus | None:
     """The corpus stored beside the cache under the cache's current key, or
     None when the sidecar is missing, stale or unreadable, or fails the
-    corpus checks. Worker threads hash the CSV's leaves, in one contiguous
-    run each, while this thread reads the arrays and checks the corpus."""
+    corpus checks. A helper thread hashes the CSV's leaves while this thread
+    reads the arrays and checks the corpus; then this thread takes leaves
+    from the same counter until none is left."""
     try:
         with contextlib.ExitStack() as stack:
             # opened here, not by np.load, which leaves a file it fails to read open
@@ -457,13 +471,17 @@ def _read_sidecar(path) -> Corpus | None:
             if not digest.startswith(_DIGEST_PREFIX):
                 return None                     # an older version's key: stale
             fd = os.open(path, os.O_RDONLY)
-            stack.callback(os.close, fd)        # after the workers are joined
-            leaves = -(-os.fstat(fd).st_size // _LEAF)
-            bounds = [leaves * k // _HASH_WORKERS for k in range(_HASH_WORKERS + 1)]
+            stack.callback(os.close, fd)        # after the helpers are joined
+            size = os.fstat(fd).st_size
+            digests = [b""] * -(-size // _LEAF)
+            take = _leaf_counter(len(digests))
             pool = stack.enter_context(ThreadPoolExecutor(_HASH_WORKERS))
-            runs = [pool.submit(_hash_leaves, fd, first, stop) for first, stop in zip(bounds, bounds[1:])]
+            helpers = [pool.submit(_hash_leaves, fd, size, take, digests) for _ in range(_HASH_WORKERS)]
             corpus = Corpus(data["ids"], data["xy"], data["loads"])
-            return corpus if _tree_digest(b"".join(run.result() for run in runs)) == digest else None
+            _hash_leaves(fd, size, take, digests)
+            for helper in helpers:
+                helper.result()
+            return corpus if _tree_digest(b"".join(digests)) == digest else None
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, NormalizationError):
         return None
 

@@ -7,6 +7,7 @@ files are read as syntax trees, never imported.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import sys
@@ -128,19 +129,22 @@ def test_bound_parameter_table_covers_the_checks():
     assert read == {name for names in BOUND_PARAMETERS.values() for name in names}
 
 
-def count_calls(monkeypatch, names):
+def capture_calls(monkeypatch, names):
     """Wrap `vhetsim.estimate` functions as bench/tracer.py does, replacing every
-    reference to each in every loaded vhetsim module; returns the call counts."""
+    reference to each in every loaded vhetsim module; returns each one's calls
+    as (args, kwargs, result)."""
     estimate = importlib.import_module("vhetsim.estimate")
     modules = [m for n, m in list(sys.modules.items())
                if (n == "vhetsim" or n.startswith("vhetsim.")) and m is not None]
-    counts = dict.fromkeys(names, 0)
+    calls = {name: [] for name in names}
 
     def wrap(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+        @functools.wraps(fn)
+        def captured(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name].append((args, kwargs, result))
+            return result
+        return captured
 
     for name in names:
         fn = getattr(estimate, name)
@@ -149,7 +153,15 @@ def count_calls(monkeypatch, names):
             for key, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, key, wrapper)
-    return counts
+    return calls
+
+
+def small_run(estimator):
+    from vhetsim.config import resolve_config
+    from vhetsim.experiment import run_experiment
+
+    run_experiment(resolve_config({"sbs_count": 4, "synth": {"grid_side": 10, "seed": 2}, "estimator": estimator,
+                                   "iteration_count": 1, "slot_count": 2, "optimizer": "greedy"}))
 
 
 # the estimator functions whose captured calls the traced bench run replays
@@ -161,11 +173,45 @@ def count_calls(monkeypatch, names):
      ("kmeans_cluster", "elbow_g", "mlc_estimate")),
 ])
 def test_checked_functions_are_called(monkeypatch, estimator, checked):
-    from vhetsim.config import resolve_config
-    from vhetsim.experiment import run_experiment
+    calls = capture_calls(monkeypatch, checked)
+    small_run(estimator)
+    assert all(calls[name] for name in checked), {name: len(calls[name]) for name in checked}
 
-    counts = count_calls(monkeypatch, checked)
-    config = resolve_config({"sbs_count": 4, "synth": {"grid_side": 10, "seed": 2}, "estimator": estimator,
-                             "iteration_count": 1, "slot_count": 2, "optimizer": "greedy"})
-    run_experiment(config)
-    assert all(counts[name] >= 1 for name in checked), counts
+
+def bind(name, args, kwargs) -> dict:
+    """A captured call's arguments by parameter name, as bench/checks.py binds them;
+    the signature is that of the function the capture wraps."""
+    fn = getattr(importlib.import_module("vhetsim.estimate"), name)
+    return inspect.signature(fn).bind(*args, **kwargs).arguments
+
+
+def read_as_the_checks_do(neighbor_set) -> list[tuple]:
+    """What bench/checks.py reads of a neighbour set: `.neighbors`, and of each
+    item `cell_id`, `distance` and `load`."""
+    fields = [(nb.cell_id, nb.distance, nb.load) for nb in neighbor_set.neighbors]
+    assert all(isinstance(cell_id, int) and isinstance(distance, float) and isinstance(load, float)
+               for cell_id, distance, load in fields)
+    return fields
+
+
+# a neighbour set that lost these would make the bench record its checks as
+# unchecked instead of failing
+@pytest.mark.parametrize("method, returned", [
+    ("distance_weighted", "rank_neighbors"),
+    ("random_weighted", "select_random"),
+])
+def test_neighbor_sets_expose_what_the_checks_read(monkeypatch, method, returned):
+    calls = capture_calls(monkeypatch, (returned, "estimate_weighted"))
+    small_run({"method": method, "neighbor_count": 5, "distance_exponent": 3})
+    assert calls[returned] and calls["estimate_weighted"]
+    for args, kwargs, result in calls[returned]:
+        call = bind(returned, args, kwargs)
+        assert len(read_as_the_checks_do(result)) == call["n_neighbors"]
+        # the ranking check also reads the target and iterates the pool
+        target = call["target"]
+        assert isinstance(target.cell_id, int) and len(target.position) == 2
+        assert all(isinstance(c.cell_id, int) and len(c.position) == 2 and isinstance(c.load, float)
+                   for c in call["cells"])
+    for args, kwargs, _ in calls["estimate_weighted"]:
+        assert len(read_as_the_checks_do(bind("estimate_weighted", args, kwargs)["neighbors"])) == 5
+

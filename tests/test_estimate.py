@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vhetsim.errors import InsufficientNeighborsError
+from vhetsim.errors import DegenerateDistanceError, InsufficientNeighborsError
 from vhetsim.estimate import (
     CellLoad,
     EstimatorSpec,
@@ -96,6 +98,58 @@ class TestSelectRandom:
         sigma = np.sqrt(draws * p * (1 - p))
         for count in counts.values():
             assert abs(count - draws * p) < 3 * sigma
+
+
+class TestNeighborSet:
+    NEIGHBORS = (Neighbor(4, 1.5, 0.25), Neighbor(9, 2.0, 0.5), Neighbor(2, 3.25, 1.0))
+
+    @staticmethod
+    def arrays():
+        return np.array([4, 9, 2]), np.array([1.5, 2.0, 3.25]), np.array([0.25, 0.5, 1.0])
+
+    def test_arrays_equal_tuples(self):
+        ns = NeighborSet.from_arrays(*self.arrays())
+        assert ns == NeighborSet(self.NEIGHBORS)
+        assert ns != NeighborSet(self.NEIGHBORS[:2])
+        assert ns != NeighborSet(self.NEIGHBORS[:2] + (Neighbor(2, 3.25, 0.75),))
+
+    def test_source_arrays_may_change(self):
+        ids, distances, loads = self.arrays()
+        ns = NeighborSet.from_arrays(ids, distances, loads)
+        ids[0], distances[0], loads[0] = 7, 9.0, 0.0
+        assert ns.neighbors == self.NEIGHBORS
+
+    @pytest.mark.parametrize("name", ["ids", "distances", "loads"])
+    def test_read_only(self, name):
+        ns = NeighborSet.from_arrays(*self.arrays())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ns, name)[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ns, name, np.zeros(3))
+        assert ns.neighbors == self.NEIGHBORS
+
+    def test_neighbors_round_trip(self):
+        ns = NeighborSet.from_arrays(*self.arrays())
+        assert ns.neighbors == self.NEIGHBORS
+        assert [tuple(map(type, nb)) for nb in ns.neighbors] == [(int, float, float)] * 3
+        assert NeighborSet(ns.neighbors) == ns
+        assert ns.ids.dtype == np.int64 and ns.distances.dtype == ns.loads.dtype == np.float64
+
+    @pytest.mark.parametrize("distance", [0.0, -1.0])
+    def test_zero_distance_raises(self, distance):
+        ids, distances, loads = self.arrays()
+        distances[1] = distance
+        with pytest.raises(DegenerateDistanceError):
+            NeighborSet.from_arrays(ids, distances, loads)
+        with pytest.raises(DegenerateDistanceError):
+            NeighborSet(self.NEIGHBORS[:1] + (Neighbor(9, distance, 0.5),))
+
+    @pytest.mark.parametrize("empty", [NeighborSet(()), NeighborSet.from_arrays([], [], [])])
+    def test_empty_set_raises_in_both_estimators(self, empty):
+        with pytest.raises(InsufficientNeighborsError):
+            estimate_mean(empty)
+        with pytest.raises(InsufficientNeighborsError):
+            estimate_weighted(empty, 1.0)
 
 
 class TestEstimateMean:

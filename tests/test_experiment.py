@@ -401,6 +401,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("level", [0.0, -1.0])
+    def test_all_zero_synthetic_corpus_clean_exit(self, tmp_path, capsys, level):
+        raw = base_raw()
+        raw["synth"].update(noise_std=0.0, temporal_profile=[level] * 144)
+        assert main(["simulate", "--config", str(self.write_config(tmp_path, raw)),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: all-zero corpus: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("vary", ["estimator.neighbor_count=[1", "estimator.seed"])
     def test_sweep_bad_vary_clean_exit(self, tmp_path, capsys, vary):
         with pytest.raises(SystemExit) as exc:

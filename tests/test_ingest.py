@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import os
+import sys
 import threading
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import vhetsim.ingest
 from vhetsim.errors import CdrParseError, NormalizationError
 from vhetsim.ingest import (
+    _leaf_counter,
     _parse_profile_cache,
     _read_sidecar,
     CdrRecord,
@@ -228,6 +230,12 @@ class TestSynthTraffic:
         params = SynthParams(grid_side=4)
         assert (params.spatial_correlation_length, params.noise_std, params.seed) == (705.0, 0.2, 0)
         assert params.cell_size_m == 235.0 and len(params.temporal_profile) == 144
+
+    @pytest.mark.parametrize("level", [0.0, -1.0])
+    def test_all_zero_corpus_refused(self, level):
+        params = SynthParams(grid_side=6, noise_std=0.0, temporal_profile=(level,) * 144)
+        with pytest.raises(NormalizationError, match="^all-zero corpus: "):
+            synth_traffic(params)
 
     @pytest.mark.parametrize("cell_size_m", [0, -5, 0.0, float("nan"), float("inf")])
     def test_bad_cell_size_refused(self, cell_size_m):
@@ -474,6 +482,81 @@ class TestProfileCacheSidecar:
         assert keyed(serial_tree_digest(data + b"\n", self.LEAF)) is None
         if size > self.LEAF:
             assert keyed(serial_tree_digest(data, 2 * self.LEAF)) is None
+
+    @pytest.mark.parametrize("hasher", ["caller", "helper"])
+    @pytest.mark.parametrize("size", [LEAF, 5 * LEAF + 17])
+    def test_one_thread_hashes_every_leaf(self, tmp_path, monkeypatch, hasher, size):
+        # the other thread starts taking leaves only once `hasher` has taken them all
+        monkeypatch.setattr(vhetsim.ingest, "_LEAF", self.LEAF)
+        monkeypatch.setattr(vhetsim.ingest, "_HASH_WORKERS", 1)
+        hash_leaves, caller = vhetsim.ingest._hash_leaves, threading.get_ident()
+        done = {"caller": threading.Event(), "helper": threading.Event()}
+        taken = {"caller": [], "helper": []}
+
+        def in_turn(fd, size, take, digests):
+            me = "caller" if threading.get_ident() == caller else "helper"
+            if me != hasher:
+                assert done[hasher].wait(30)
+
+            def recorded():
+                leaf = take()
+                taken[me].extend([] if leaf is None else [leaf])
+                return leaf
+
+            try:
+                hash_leaves(fd, size, recorded, digests)
+            finally:
+                done[me].set()
+
+        monkeypatch.setattr(vhetsim.ingest, "_hash_leaves", in_turn)
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "cache.csv"
+        path.write_bytes(data)
+        corpus = small_corpus()
+        with open(tmp_path / "cache.csv.npz", "wb") as fh:
+            np.savez(fh, digest=np.array(serial_tree_digest(data, self.LEAF)),
+                     ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        assert _read_sidecar(path) == corpus
+        other = "helper" if hasher == "caller" else "caller"
+        assert taken == {hasher: list(range(-(-size // self.LEAF))), other: []}
+
+    def test_leaf_counter_gives_each_leaf_once(self):
+        # more threads than cores, switching as often as the interpreter allows
+        take, taken = _leaf_counter(20_000), []
+
+        def drain():
+            mine = []
+            while (leaf := take()) is not None:
+                mine.append(leaf)
+            taken.append(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drain) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(leaf for mine in taken for leaf in mine) == list(range(20_000))
+        assert take() is None
+
+    def test_sidecar_of_the_earlier_tree_key_is_a_hit(self, tmp_path, monkeypatch):
+        # the key that the two-worker hashing of contiguous leaf runs wrote for
+        # this CSV of 1 735 785 bytes, two 1 MiB leaves
+        earlier_key = "sha256-tree-1MiB:fa794ddca90da27f85134a4f1e7b5c5429ea573a9fd0a95bbba66e3acc6bf882"
+        ids = np.arange(1, 2401)
+        corpus = Corpus(ids, grid_centroids(ids, 49), (ids[:, None] * 7 + np.arange(144) * 13) % 101 / 100.0)
+        path = tmp_path / "cache.csv"
+        save_profile_cache(corpus, path)
+        assert serial_tree_digest(path.read_bytes(), 1 << 20) == earlier_key
+        with open(tmp_path / "cache.csv.npz", "wb") as fh:
+            np.savez(fh, digest=np.array(earlier_key), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        self.forbid_parse(monkeypatch)
+        assert load_profile_cache(path) == corpus
 
     @pytest.mark.parametrize("leaf", [64, 1000, 8192, 1 << 20])
     def test_parse_key_is_load_key(self, tmp_path, monkeypatch, leaf):

@@ -5,7 +5,9 @@ loops they replaced.
 earlier implementations, kept here as references: a full sort of every
 candidate, and Lloyd's algorithm on the full (points x centroids) distance
 matrix with its own k-means++ draws for every fit. `rank_neighbors` on each
-slot's pool is the reference for the pipeline's one ranking per SBS cell.
+slot's pool is the reference for the pipeline's one ranking per SBS cell, and
+`object_path_estimates`, which builds each sleeper's neighbour set from
+`Neighbor` tuples, for the array neighbour sets the pipeline builds instead.
 `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers as they
 were before both read one offload table: greedy built a SwitchVector, a load
 state and a total_power per trial switch-off. The kernels and solvers must
@@ -19,6 +21,8 @@ import numpy as np
 import pytest
 
 import vhetsim.estimate
+import vhetsim.experiment
+from vhetsim.config import resolve_config
 from vhetsim.estimate import (
     _KMEANS_MAX_ITER,
     _PointSet,
@@ -30,13 +34,15 @@ from vhetsim.estimate import (
     Neighbor,
     NeighborSet,
     elbow_g,
+    estimate_mean,
+    estimate_weighted,
     kmeans_cluster,
     mlc_estimate,
     rank_neighbors,
     select_random,
 )
 from vhetsim.errors import InfeasibleTransitionError, InsufficientNeighborsError
-from vhetsim.experiment import _NearestCells
+from vhetsim.experiment import _NearestCells, run_experiment
 from vhetsim.ingest import Corpus, SynthParams, grid_centroids, synth_traffic
 from vhetsim.power import (
     BaseStation,
@@ -376,6 +382,57 @@ class TestNearestCells:
         corpus = shuffled_corpus(grid_centroids(range(1, 26), 5), seed=7)
         for trial in range(10):
             self.check(corpus, s=10, n=20, seed=trial)
+
+
+def object_path_estimates(corpus, sbs_rows, sleepers, slot, spec, ranked):
+    """The sleepers' estimates as the pipeline made them while neighbour sets held
+    objects: each SBS cell's `sorted_rank_neighbors` over the whole corpus (kept in
+    `ranked`), its first N active cells as `Neighbor` tuples, a `NeighborSet` of
+    those, and `estimate_weighted` or `estimate_mean` on it."""
+    count = min(spec.neighbor_count + len(sbs_rows) - 1, len(corpus) - 1)
+    row_of = {cell_id: row for row, cell_id in enumerate(corpus.ids.tolist())}
+    sleeper_rows = {sbs_rows[j] for j in sleepers}
+    out = {}
+    for j in sleepers:
+        row = sbs_rows[j]
+        if row not in ranked:
+            x, y = corpus.xy[row].tolist()
+            cells = [CellLoad(cell_id, (cx, cy), 0.0)
+                     for cell_id, (cx, cy) in zip(corpus.ids.tolist(), corpus.xy.tolist())]
+            ranked[row] = sorted_rank_neighbors(CellLoad(int(corpus.ids[row]), (x, y), 0.0), cells, count).neighbors
+        kept = [nb for nb in ranked[row] if row_of[nb.cell_id] not in sleeper_rows][:spec.neighbor_count]
+        neighbors = NeighborSet(tuple(Neighbor(nb.cell_id, nb.distance, float(corpus.loads[row_of[nb.cell_id], slot]))
+                                      for nb in kept))
+        if spec.method == "distance_weighted":
+            out[j] = estimate_weighted(neighbors, spec.distance_exponent)
+        else:
+            out[j] = estimate_mean(neighbors)
+    return out
+
+
+class TestArrayNeighborSets:
+    """Every sleeper estimate of a whole distance day, from the pipeline's array
+    neighbour sets, has the bits of the `Neighbor`-tuple path above."""
+
+    @pytest.mark.parametrize("method", ["distance_weighted", "distance_unweighted"])
+    def test_day_bit_equal_to_object_path(self, monkeypatch, method):
+        config = resolve_config({
+            "sbs_count": 8, "synth": {"grid_side": 24, "noise_std": 0.3, "seed": 4},
+            "estimator": {"method": method, "neighbor_count": 20, "distance_exponent": 3},
+            "iteration_count": 1, "slot_count": 144, "optimizer": "greedy", "seed": 15})
+        estimate_sleepers = vhetsim.experiment._estimate_sleepers
+        ranked, compared = {}, []
+
+        def checked(config, corpus, sbs_rows, sleepers, true_loads, slot, *rest):
+            got = estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot, *rest)
+            want = object_path_estimates(corpus, sbs_rows, sleepers, slot, config.estimator, ranked)
+            assert {j: v.hex() for j, v in got.items()} == {j: v.hex() for j, v in want.items()}, slot
+            compared.extend(got)
+            return got
+
+        monkeypatch.setattr(vhetsim.experiment, "_estimate_sleepers", checked)
+        run_experiment(config)
+        assert len(compared) >= 144
 
 
 def criterion_5_slots():
