@@ -7,10 +7,11 @@ multi-level k-means clustering with elbow-based cluster-count selection.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,12 +63,9 @@ class Neighbor(NamedTuple):
     load: float
 
 
-def _owned(values, dtype) -> np.ndarray:
-    array = np.array(values, dtype=dtype)      # a copy, so the caller's array may change later
-    if array.ndim != 1:
-        raise ValueError("neighbor arrays must be one-dimensional")
-    array.flags.writeable = False
-    return array
+def _copied(ids, distances, loads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New int64 ids and float64 distances and loads, so the caller's arrays may change later."""
+    return np.array(ids, dtype=np.int64), np.array(distances, dtype=np.float64), np.array(loads, dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -86,23 +84,31 @@ class NeighborSet:
 
     def __init__(self, neighbors=()):
         neighbors = tuple(neighbors)
-        self._fill([n.cell_id for n in neighbors], [n.distance for n in neighbors], [n.load for n in neighbors])
+        self._fill(*_copied([n.cell_id for n in neighbors], [n.distance for n in neighbors],
+                            [n.load for n in neighbors]))
 
     @classmethod
     def from_arrays(cls, ids, distances, loads) -> NeighborSet:
+        return cls._adopt(*_copied(ids, distances, loads))
+
+    @classmethod
+    def _adopt(cls, ids: np.ndarray, distances: np.ndarray, loads: np.ndarray) -> NeighborSet:
+        """A set that takes the three arrays as they are and makes them read-only:
+        int64 ids and float64 distances and loads that no one else holds."""
         neighbor_set = cls.__new__(cls)
         neighbor_set._fill(ids, distances, loads)
         return neighbor_set
 
-    def _fill(self, ids, distances, loads) -> None:
-        ids, distances, loads = _owned(ids, np.int64), _owned(distances, np.float64), _owned(loads, np.float64)
+    def _fill(self, ids: np.ndarray, distances: np.ndarray, loads: np.ndarray) -> None:
+        if not ids.ndim == distances.ndim == loads.ndim == 1:
+            raise ValueError("neighbor arrays must be one-dimensional")
         if not len(ids) == len(distances) == len(loads):
             raise ValueError("neighbor arrays must have one entry per neighbor")
         if (distances <= 0).any():
             raise DegenerateDistanceError("neighbor distances must be > 0")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "distances", distances)
-        object.__setattr__(self, "loads", loads)
+        for name, values in (("ids", ids), ("distances", distances), ("loads", loads)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def neighbors(self) -> tuple[Neighbor, ...]:
@@ -275,8 +281,8 @@ class _PointSet:
             # centroids closer than this may tie in the loop's rounded distances
             # |x - c| <= 2 max|x| of a far point
             reach = 8.0 * eps * float(np.abs(xs).max(initial=0.0))
-            self.prefix = (order, xs.tolist(), np.concatenate(([0.0], np.cumsum(xs))).tolist(),
-                           np.concatenate(([0.0], np.cumsum(xs * xs))).tolist(), sum_err, reach)
+            # the loop bisects a list, which is faster to probe than an array('d')
+            self.prefix = (order, xs.tolist(), _prefix_sums(xs), _prefix_sums(xs * xs), sum_err, reach)
 
     def seeds(self, g: int, seed: int) -> np.ndarray:
         """The first g k-means++ seeds of `seed`, as a new array: each drawn with
@@ -295,11 +301,31 @@ class _PointSet:
         while True:
             yield latest
             # squared distance to the nearest seed so far, kept as a running min
-            dist = (pts - latest) ** 2
+            dist = pts - latest
+            dist *= dist
             dist = dist if pts.ndim == 1 else dist.sum(-1)
-            d2 = dist if d2 is None else np.minimum(d2, dist)
+            d2 = dist if d2 is None else np.minimum(d2, dist, out=d2)
             total = d2.sum()
-            latest = pts[rng.integers(len(pts))] if total <= 0 else pts[rng.choice(len(pts), p=d2 / total)]
+            latest = pts[rng.integers(len(pts)) if total <= 0 else _weighted_index(d2, total, rng)]
+
+
+def _prefix_sums(values: np.ndarray) -> array:
+    """0 and the running sums of `values`, as an array('d'): its items index as floats."""
+    sums = np.empty(len(values) + 1)
+    sums[0] = 0.0
+    np.cumsum(values, out=sums[1:])
+    return array("d", sums.tobytes())
+
+
+def _weighted_index(d2: np.ndarray, total, rng: np.random.Generator) -> int:
+    """The index that `rng.choice(len(d2), p=d2 / total)` draws, from the same one
+    uniform, without `choice`'s checks of p. A total that is not finite goes to
+    `choice` itself, which refuses the NaN or infinite p with a ValueError."""
+    if not math.isfinite(total):
+        return rng.choice(len(d2), p=d2 / total)
+    cdf = np.cumsum(d2 / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _lloyd_sorted(context: _PointSet, centroids: np.ndarray):
@@ -315,50 +341,75 @@ def _lloyd_sorted(context: _PointSet, centroids: np.ndarray):
     first iteration that fails the test this stops, unconverged, and the
     general loop takes over.
 
-    Returns the assignment in the points' order (None before the first
-    iteration), the SSE history from prefix sums and whether the assignment
-    stopped changing.
+    The runs are disjoint and in order, so their exact means keep the order
+    of the seeds, which are sorted once, stably. A rounded mean that passes
+    its neighbour's is within their error bounds of it and fails the gap
+    test, so the centroids stay in that rank order throughout, and only the
+    cuts between the runs can change.
+
+    Returns the assignment in the points' order and each cluster's size (both
+    None before the first iteration), the SSE history from prefix sums and
+    whether the assignment stopped changing.
     """
     eps = sys.float_info.epsilon
-    order, xs, csum, csq, sum_err, reach = context.prefix
+    two_eps = 2.0 * eps
+    order, xs, csum, _, sum_err, reach = context.prefix
     n, g = len(xs), len(centroids)
-    cent = centroids.tolist()
-    err = [0.0] * g                      # the k-means++ seeds are exact
-    history, state, converged = [], None, False
+    seeds = centroids.tolist()
+    rank = sorted(range(g), key=seeds.__getitem__)
+    # centroids and their error bounds in rank order; the k-means++ seeds are exact
+    cent, err = [seeds[k] for k in rank], [0.0] * g
+    history, cuts, converged = [], None, False
     for _ in range(_KMEANS_MAX_ITER):
-        rank = sorted(range(g), key=cent.__getitem__)
-        bounds = [0]
-        for a, b in zip(rank, rank[1:]):
-            gap = cent[b] - cent[a]
-            if gap <= err[a] + err[b] + reach:
+        # the cuts between the runs and, as each run closes, its mean and error bound
+        new, next_cent, next_err = [0], [], []
+        lo, sum_lo = 0, 0.0
+        for a, b, err_a, err_b in zip(cent, cent[1:], err, err[1:]):
+            gap, err_ab = b - a, err_a + err_b
+            if gap <= err_ab + reach:
                 break
-            mid = (cent[a] + cent[b]) / 2
-            band = (err[a] + err[b]) / 2 + eps * (abs(mid) + gap)
-            cut = bisect.bisect_left(xs, mid - band)
-            if cut <= bounds[-1] or bisect.bisect_right(xs, mid + band) != cut:
+            mid = (a + b) / 2
+            band = err_ab / 2 + eps * (abs(mid) + gap)
+            cut = bisect_left(xs, mid - band)
+            if cut <= lo or (cut < n and xs[cut] <= mid + band):
                 break
-            bounds.append(cut)
+            new.append(cut)
+            sum_hi = csum[cut]
+            mean = (sum_hi - sum_lo) / (cut - lo)
+            next_cent.append(mean)
+            next_err.append(sum_err / (cut - lo) + two_eps * abs(mean))
+            lo, sum_lo = cut, sum_hi
         else:
-            if bounds[-1] < n:
-                bounds.append(n)
-        if len(bounds) <= g:
+            if lo < n:
+                new.append(n)
+                mean = (csum[n] - sum_lo) / (n - lo)
+                next_cent.append(mean)
+                next_err.append(sum_err / (n - lo) + two_eps * abs(mean))
+        if len(new) <= g:       # a pair failed the test, or the last run is empty
             break
-        sse = 0.0
-        for k, lo, hi in zip(rank, bounds, bounds[1:]):
-            count, total = hi - lo, csum[hi] - csum[lo]
-            cent[k] = total / count
-            err[k] = sum_err / count + 2.0 * eps * abs(cent[k])
-            sse += csq[hi] - csq[lo] - total * total / count
-        history.append(sse)
-        converged = state == (rank, bounds)
-        state = (rank, bounds)
+        cent, err = next_cent, next_err
+        history.append(new)
+        converged, cuts = new == cuts, new
         if converged:
             break
-    if state is None:
-        return None, history, False
+    if cuts is None:
+        return None, None, [], False
+    sizes = np.diff(cuts)
     labels = np.empty(n, dtype=np.intp)
-    labels[order] = np.repeat(state[0], np.diff(state[1]))
-    return labels, history, converged
+    labels[order] = np.repeat(rank, sizes)
+    counts = np.empty(g, dtype=np.intp)
+    counts[rank] = sizes
+    return labels, counts, _sse_history(context, history), converged
+
+
+def _sse_history(context: _PointSet, history: list[list[int]]) -> list[float]:
+    """Each iteration's SSE from the prefix sums, given its cuts between the runs."""
+    _, _, csum, csq, _, _ = context.prefix
+    csum, csq = np.frombuffer(csum), np.frombuffer(csq)
+    cuts = np.array(history)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    total = csum[hi] - csum[lo]
+    return (csq[hi] - csq[lo] - total * total / (hi - lo)).sum(axis=1).tolist()
 
 
 def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -366,18 +417,20 @@ def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return sq if pts.ndim == 1 else sq.sum(-1)
 
 
-def _grouped(values: np.ndarray, labels: np.ndarray, g: int) -> list[np.ndarray]:
-    """`values[labels == k]` for k in 0..g-1. A stable (radix) sort of the labels
-    keeps each group in row order, so a mean over a group adds the same values in
-    the same order as one over the mask and has the same bits."""
-    grouped = values[np.argsort(labels.astype(np.min_scalar_type(g - 1)), kind="stable")]
-    return np.split(grouped, np.cumsum(np.bincount(labels, minlength=g))[:-1])
+def _grouped(values: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """`values[labels == k]` for each k, which `counts[k]` labels hold. A stable
+    (radix) sort of the labels keeps each group in row order, so a mean over a
+    group adds the same values in the same order as one over the mask and has
+    the same bits."""
+    grouped = values[np.argsort(labels.astype(np.min_scalar_type(len(counts) - 1)), kind="stable")]
+    return np.split(grouped, np.cumsum(counts)[:-1])
 
 
-def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> None:
-    """Move every centroid to its members' mean."""
-    for cluster, members in enumerate(_grouped(pts, assignment, len(centroids))):
-        centroids[cluster] = members.mean(axis=0)
+def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> None:
+    """Move every centroid to its members' mean; `counts[k]` points have label k.
+    The sum over the members and the division by their count are what `mean` does."""
+    for cluster, members in enumerate(_grouped(pts, assignment, counts)):
+        centroids[cluster] = np.add.reduce(members, axis=0) / len(members)
 
 
 def _nearest_is_own(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, own: np.ndarray) -> bool:
@@ -416,9 +469,9 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     rows = np.arange(len(pts))
     assignment, history = None, []
     if pts.ndim == 1:
-        assignment, history, converged = _lloyd_sorted(context, centroids)
+        assignment, counts, history, converged = _lloyd_sorted(context, centroids)
     if assignment is not None:
-        _refresh(pts, centroids, assignment)
+        _refresh(pts, centroids, assignment, counts)
         own = (pts - centroids[assignment]) ** 2
         history[-1] = float(own.sum())
         if converged and _nearest_is_own(pts, centroids, assignment, own):
@@ -437,7 +490,7 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
             far = int(eligible[own_dist[eligible].argmax()])
             new_assignment[far] = empty
             counts = np.bincount(new_assignment, minlength=g)
-        _refresh(pts, centroids, new_assignment)
+        _refresh(pts, centroids, new_assignment, counts)
         d2 = _sq_distances(pts, centroids)
         history.append(float(d2[rows, new_assignment].sum()))
         if assignment is not None and (new_assignment == assignment).all():
@@ -530,7 +583,8 @@ def mlc_estimate(
         if layer > first:
             context = _PointSet(lam)    # the layer before changed the values
         labels = kmeans_cluster(points, g, seed + layer, context=context).assignment
+        on = labels[active]
         means = np.array([members.mean() if len(members) else global_mean
-                          for members in _grouped(lam[active], labels[active], g)])
+                          for members in _grouped(lam[active], on, np.bincount(on, minlength=g))])
         lam[~active] = means[labels[~active]]
     return np.clip(lam, 0.0, 1.0)

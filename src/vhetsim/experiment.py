@@ -114,7 +114,8 @@ class _NearestCells:
             raise InsufficientNeighborsError(f"need {n} active cells, only {len(kept)} available")
         kept = kept[:n]
         rows = rows[kept]
-        return NeighborSet.from_arrays(self.corpus.ids[rows], distances[kept], self.corpus.loads[rows, slot])
+        # fancy indexing gives new arrays, which the set adopts without copying
+        return NeighborSet._adopt(self.corpus.ids[rows], distances[kept], self.corpus.loads[rows, slot])
 
 
 def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,

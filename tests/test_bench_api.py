@@ -178,6 +178,20 @@ def test_checked_functions_are_called(monkeypatch, estimator, checked):
     assert all(calls[name] for name in checked), {name: len(calls[name]) for name in checked}
 
 
+def test_kmeans_results_hold_what_the_bench_counts(monkeypatch):
+    # bench/run.py sums the sse_history lengths as estimate.kmeans_cluster.iterations
+    # and counts those that reach _KMEANS_MAX_ITER
+    from vhetsim.estimate import _KMEANS_MAX_ITER
+
+    assert isinstance(_KMEANS_MAX_ITER, int)
+    calls = capture_calls(monkeypatch, ("kmeans_cluster",))
+    small_run({"method": "mlc", "cluster_count": "elbow", "layer_count": 2})
+    assert calls["kmeans_cluster"]
+    for _, _, result in calls["kmeans_cluster"]:
+        assert 0 < len(result.sse_history) <= _KMEANS_MAX_ITER
+        assert result.sse == result.sse_history[-1]
+
+
 def bind(name, args, kwargs) -> dict:
     """A captured call's arguments by parameter name, as bench/checks.py binds them;
     the signature is that of the function the capture wraps."""

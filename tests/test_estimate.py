@@ -128,6 +128,15 @@ class TestNeighborSet:
             setattr(ns, name, np.zeros(3))
         assert ns.neighbors == self.NEIGHBORS
 
+    def test_adopted_arrays_are_read_only(self):
+        ids, distances, loads = self.arrays()
+        ns = NeighborSet._adopt(ids, distances, loads)
+        assert ns.ids is ids and ns.distances is distances and ns.loads is loads
+        for array in (ids, distances, loads):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert ns == NeighborSet(self.NEIGHBORS)
+
     def test_neighbors_round_trip(self):
         ns = NeighborSet.from_arrays(*self.arrays())
         assert ns.neighbors == self.NEIGHBORS
@@ -141,6 +150,8 @@ class TestNeighborSet:
         distances[1] = distance
         with pytest.raises(DegenerateDistanceError):
             NeighborSet.from_arrays(ids, distances, loads)
+        with pytest.raises(DegenerateDistanceError):
+            NeighborSet._adopt(ids, distances, loads)
         with pytest.raises(DegenerateDistanceError):
             NeighborSet(self.NEIGHBORS[:1] + (Neighbor(9, distance, 0.5),))
 

@@ -4,7 +4,10 @@ loops they replaced.
 `sorted_rank_neighbors`, `loop_plus_plus_init` and `lloyd_kmeans` are the
 earlier implementations, kept here as references: a full sort of every
 candidate, and Lloyd's algorithm on the full (points x centroids) distance
-matrix with its own k-means++ draws for every fit. `rank_neighbors` on each
+matrix with its own k-means++ draws for every fit. `resorting_lloyd_sorted`
+is the scalar prefix-sum loop as it was before it kept the centroids in one
+rank order: it sorts them again at every iteration and sums each SSE in the
+loop. `rank_neighbors` on each
 slot's pool is the reference for the pipeline's one ranking per SBS cell, and
 `object_path_estimates`, which builds each sleeper's neighbour set from
 `Neighbor` tuples, for the array neighbour sets the pipeline builds instead.
@@ -14,8 +17,12 @@ state and a total_power per trial switch-off. The kernels and solvers must
 return exactly what they return.
 """
 
+import bisect
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +33,10 @@ from vhetsim.config import resolve_config
 from vhetsim.estimate import (
     _KMEANS_MAX_ITER,
     _PointSet,
+    _lloyd_sorted,
     _nearest_is_own,
     _sq_distances,
+    _weighted_index,
     CellLoad,
     CellPool,
     ClusterModel,
@@ -120,6 +129,51 @@ def lloyd_kmeans(points, g, seed):
         sse=history[-1],
         sse_history=tuple(history),
     )
+
+
+def resorting_lloyd_sorted(context, centroids):
+    """`_lloyd_sorted` as it re-sorted the centroids at every iteration and
+    tracked the SSE history inside the loop."""
+    eps = sys.float_info.epsilon
+    order, xs, csum, csq, sum_err, reach = context.prefix
+    n, g = len(xs), len(centroids)
+    cent = centroids.tolist()
+    err = [0.0] * g
+    history, state, converged = [], None, False
+    for _ in range(_KMEANS_MAX_ITER):
+        rank = sorted(range(g), key=cent.__getitem__)
+        bounds = [0]
+        for a, b in zip(rank, rank[1:]):
+            gap = cent[b] - cent[a]
+            if gap <= err[a] + err[b] + reach:
+                break
+            mid = (cent[a] + cent[b]) / 2
+            band = (err[a] + err[b]) / 2 + eps * (abs(mid) + gap)
+            cut = bisect.bisect_left(xs, mid - band)
+            if cut <= bounds[-1] or bisect.bisect_right(xs, mid + band) != cut:
+                break
+            bounds.append(cut)
+        else:
+            if bounds[-1] < n:
+                bounds.append(n)
+        if len(bounds) <= g:
+            break
+        sse = 0.0
+        for k, lo, hi in zip(rank, bounds, bounds[1:]):
+            count, total = hi - lo, csum[hi] - csum[lo]
+            cent[k] = total / count
+            err[k] = sum_err / count + 2.0 * eps * abs(cent[k])
+            sse += csq[hi] - csq[lo] - total * total / count
+        history.append(sse)
+        converged = state == (rank, bounds)
+        state = (rank, bounds)
+        if converged:
+            break
+    if state is None:
+        return None, history, False
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.repeat(state[0], np.diff(state[1]))
+    return labels, history, converged
 
 
 def masked_mlc_estimate(loads, active, layers, clusters="elbow", seed=0, features=None):
@@ -361,7 +415,13 @@ class TestNearestCells:
                     assert str(got.value) == str(exc)
                     continue
                 # same ids, math.hypot distances and loads, in the same order
-                assert nearest.neighbors(target, row, active, slot, n) == want
+                got = nearest.neighbors(target, row, active, slot, n)
+                assert got == want
+                # in read-only arrays of the set's own
+                ranked = nearest.ranked[row]
+                for array, source in ((got.ids, corpus.ids), (got.distances, ranked[1]),
+                                      (got.loads, corpus.loads)):
+                    assert not array.flags.writeable and not np.shares_memory(array, source)
         assert len(nearest.ranked) <= s
 
     def test_grid_ties(self):
@@ -506,6 +566,116 @@ class TestKmeans:
     def test_assignment_is_a_read_only_int_array(self):
         model = kmeans_cluster(next(criterion_5_slots())[1], 4, 0)
         assert model.assignment.dtype.kind == "i" and not model.assignment.flags.writeable
+
+
+def bench_cache_loads(seed):
+    """The load factors of the bench's 100 x 100 profile cache at `seed`, as
+    bench/gen_inputs.py writes them (its CSV holds each float's repr)."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_inputs", Path(__file__).resolve().parent.parent / "bench" / "gen_inputs.py")
+    gen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_inputs)
+    return np.clip(gen_inputs.raw_loads(np.random.default_rng(seed), 100)[0], 0.0, 1.0)
+
+
+def scalar_sets():
+    """Scalar point sets with their cluster counts: uniform values, grid values
+    with duplicates and clusters a few ulps to 1e-8 apart, g = 1..10 and n from
+    g to 2 000, then three 10 000-point bench-cache columns at every g."""
+    rng = np.random.default_rng(17)
+    for k in range(2400):
+        g = k % 10 + 1
+        n = int(np.exp(rng.uniform(np.log(g), np.log(2000)))) if k % 7 else g
+        kind = k % 4
+        if kind == 0:
+            pts = rng.uniform(0.0, 1.0, n)
+        elif kind == 1:
+            pts = rng.integers(0, int(rng.integers(1, 40)), n) / 16
+        elif kind == 2:
+            # evenly repeated grid values: runs of equal weight put midpoints on points
+            pts = rng.permutation(np.arange(n) % int(rng.integers(2, 60))) / 8
+        else:
+            # a few groups 1e-15 to 1e-8 apart, around the error bounds of the
+            # prefix-sum means, each a handful of adjacent floats
+            centres = rng.uniform(0.1, 0.9) + rng.uniform(0, 10.0 ** -rng.integers(8, 16), int(rng.integers(1, 12)))
+            pts = centres[rng.integers(len(centres), size=n)]
+            for _ in range(int(rng.integers(0, 6))):
+                pts = np.nextafter(pts, np.where(rng.random(n) < 0.5, -np.inf, np.inf))
+        yield pts, g, k
+    loads = bench_cache_loads(1)
+    for slot in (0, 1, 72):
+        for g in range(1, 11):
+            yield loads[:, slot], g, slot
+
+
+class TestLloydSorted:
+    """`_lloyd_sorted` against the loop that sorted the centroids again at every iteration."""
+
+    def test_matches_resorting_loop(self):
+        ran, stopped = 0, {"at once": 0, "mid-way": 0, "converged": 0}
+        for pts, g, seed in scalar_sets():
+            context = _PointSet(pts)
+            seeds = context.seeds(g, seed)
+            labels, counts, history, converged = _lloyd_sorted(context, seeds.copy())
+            want_labels, want_history, want_converged = resorting_lloyd_sorted(context, seeds.copy())
+            assert (labels is None) == (counts is None) == (want_labels is None)
+            if labels is not None:
+                assert np.array_equal(labels, want_labels)
+                assert np.array_equal(counts, np.bincount(labels, minlength=g))
+            assert converged == want_converged
+            assert len(history) == len(want_history)
+            np.testing.assert_allclose(history, want_history, rtol=1e-9, atol=1e-12)
+            ran += 1
+            stopped["at once" if labels is None else "converged" if converged else "mid-way"] += 1
+        # some fits leave the prefix sums to the general loop at once or mid-way
+        assert ran >= 2000 and min(stopped.values()) >= 10, stopped
+
+
+    def test_run_emptied_by_its_neighbours(self):
+        # the middle run {3, 7} moves its mean to 5, halfway between its
+        # neighbours' new means 2.9 and 7.1, and no point is left in its cell
+        context = _PointSet([7.1, 3.0, 2.9, 7.0])
+        labels, counts, history, converged = _lloyd_sorted(context, np.array([5.9, 0.0, 8.2]))
+        want_labels, want_history, _ = resorting_lloyd_sorted(context, np.array([5.9, 0.0, 8.2]))
+        assert labels.tolist() == want_labels.tolist() == [2, 0, 1, 0]
+        assert counts.tolist() == [2, 1, 1] and not converged
+        assert len(history) == len(want_history) == 1
+
+
+class TestWeightedDraw:
+    """`_weighted_index` against `Generator.choice(len(p), p=p)` from an identically seeded generator."""
+
+    @staticmethod
+    def draws(d2, seed):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        total = d2.sum()
+        got, want = _weighted_index(d2, total, mine), theirs.choice(len(d2), p=d2 / total)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        return got, want
+
+    @pytest.mark.parametrize("case", ["random", "many zeros", "one non-zero"])
+    def test_same_index_and_stream(self, case):
+        rng = np.random.default_rng(5)
+        for seed in range(300):
+            n = int(rng.integers(1, 3000))
+            d2 = rng.random(n) ** 3
+            if case == "many zeros":
+                d2[rng.random(n) < 0.95] = 0.0
+                d2[rng.integers(n)] = rng.random() + 0.1
+            elif case == "one non-zero":
+                d2[:] = 0.0
+                d2[rng.integers(n)] = rng.random() + 0.1
+            got, want = self.draws(d2, seed)
+            assert got == want and isinstance(got, int)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_total_raises(self, bad):
+        d2 = np.array([0.5, bad, 0.25])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(3, p=d2 / d2.sum())
+            with pytest.raises(ValueError):
+                _weighted_index(d2, d2.sum(), np.random.default_rng(0))
 
 
 class TestFixedPointCheck:
