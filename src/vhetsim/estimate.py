@@ -265,7 +265,7 @@ class _PointSet:
     every finished fit by (g, seed). The points must not change meanwhile.
     """
 
-    def __init__(self, points):
+    def __init__(self, points, order: np.ndarray | None = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
         self.pts = pts[:, 0] if pts.shape[1] == 1 else pts
         self.fits: dict[tuple[int, int], ClusterModel] = {}
@@ -273,7 +273,7 @@ class _PointSet:
         if self.pts.ndim == 1:
             eps = sys.float_info.epsilon
             # equal points always share a cluster, so the sort need not be stable
-            order = np.argsort(self.pts)
+            order = np.argsort(self.pts) if order is None else order
             xs = self.pts[order]
             # bound on a prefix-sum segment mean's error times its count; any
             # summation order of the same points errs by less
@@ -283,6 +283,19 @@ class _PointSet:
             reach = 8.0 * eps * float(np.abs(xs).max(initial=0.0))
             # the loop bisects a list, which is faster to probe than an array('d')
             self.prefix = (order, xs.tolist(), _prefix_sums(xs), _prefix_sums(xs * xs), sum_err, reach)
+
+    def merged(self, points, changed: np.ndarray) -> _PointSet:
+        """The point set of the scalar `points`, which equal this set's points
+        except where the mask `changed` is set, sorted from this set's sort:
+        the changed points leave it and are inserted again at their new values.
+        The sorted values, and so the prefix sums and every fit, are those of a
+        fresh sort; only the order among equal points may differ."""
+        pts = np.asarray(points, dtype=float)
+        order = self.prefix[0]
+        kept = order[~changed[order]]
+        moved = np.flatnonzero(changed)
+        moved = moved[np.argsort(pts[moved])]
+        return _PointSet(points, np.insert(kept, np.searchsorted(pts[kept], pts[moved]), moved))
 
     def seeds(self, g: int, seed: int) -> np.ndarray:
         """The first g k-means++ seeds of `seed`, as a new array: each drawn with
@@ -466,7 +479,6 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     if (g, seed) in context.fits:
         return context.fits[g, seed]
     centroids = context.seeds(g, seed)
-    rows = np.arange(len(pts))
     assignment, history = None, []
     if pts.ndim == 1:
         assignment, counts, history, converged = _lloyd_sorted(context, centroids)
@@ -478,6 +490,7 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
             return context.fits.setdefault((g, seed), _model(centroids, assignment, history))
     # d2 always holds the squared distances to the current centroids
     d2 = _sq_distances(pts, centroids)
+    rows = np.arange(len(pts))
     for _ in range(len(history), _KMEANS_MAX_ITER):
         new_assignment = d2.argmin(axis=1)
         # an empty cluster steals the point farthest from its centroid among
@@ -581,7 +594,7 @@ def mlc_estimate(
     first = 0 if features is None else layers - 1
     for layer in range(first, layers):
         if layer > first:
-            context = _PointSet(lam)    # the layer before changed the values
+            context = context.merged(lam, ~active)     # the layer before changed the sleepers
         labels = kmeans_cluster(points, g, seed + layer, context=context).assignment
         on = labels[active]
         means = np.array([members.mean() if len(members) else global_mean

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import gzip
-import hashlib
 import io
 import math
 import os
+import struct
 import threading
 import warnings
 import zipfile
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import CdrParseError, NormalizationError
 
@@ -274,6 +273,9 @@ def synth_traffic(params: SynthParams) -> Corpus:
     while distant cells are nearly independent. Deterministic for a fixed
     seed. A corpus without any positive load raises `NormalizationError`.
     """
+    # imported here: SciPy more than doubles the import time of every other command
+    from scipy.ndimage import gaussian_filter
+
     rng = np.random.default_rng(params.seed)
     side = params.grid_side
     profile = np.asarray(params.temporal_profile)
@@ -354,51 +356,37 @@ def save_profile_cache(corpus: Corpus, path) -> None:
             fh.write(f"{cell_id},{x!r},{y!r},{','.join(map(repr, slots.tolist()))}\n")
 
 
-# The sidecar key is a two-level hash tree: the sha256 of the concatenated
-# sha256 digests of the CSV's consecutive 1 MiB leaves (the last one shorter).
-# The leaf size is fixed, so the key does not depend on how many threads hash.
-_LEAF = 1 << 20
-_DIGEST_PREFIX = "sha256-tree-1MiB:"
-_HASH_WORKERS = 1      # helper threads; the calling thread hashes beside them
+# The sidecar `<cache>.npz` holds the parsed arrays and, as its uncompressed
+# member `csv`, a copy of the CSV bytes they were parsed from. A load compares
+# the CSV with that copy in chunks of `_CHUNK` bytes, two buffers a thread.
+_CHUNK = 1 << 19
+_COPY = "csv"
+_COMPARE_WORKERS = 1   # helper threads; the calling thread compares beside them
 
 
-def _tree_digest(leaf_digests: bytes) -> str:
-    return _DIGEST_PREFIX + hashlib.sha256(leaf_digests).hexdigest()
+class _TeeReader(io.RawIOBase):
+    """A binary file that writes every byte read through it to `copy` as well,
+    until a write fails; `copy` is then None and the reads go on."""
 
-
-class _HashingReader(io.RawIOBase):
-    """A binary file that hashes every byte read through it as the leaves of the sidecar key."""
-
-    def __init__(self, raw):
-        self.raw = raw
-        self.leaves: list[bytes] = []
-        self._leaf, self._filled = hashlib.sha256(), 0
+    def __init__(self, raw, copy):
+        self.raw, self.copy = raw, copy
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
         count = self.raw.readinto(buffer)
-        view = memoryview(buffer)[:count]
-        while view:
-            take = min(len(view), _LEAF - self._filled)
-            self._leaf.update(view[:take])
-            self._filled += take
-            view = view[take:]
-            if self._filled == _LEAF:
-                self.leaves.append(self._leaf.digest())
-                self._leaf, self._filled = hashlib.sha256(), 0
+        if self.copy is not None:
+            try:
+                self.copy.write(memoryview(buffer)[:count])
+            except OSError:
+                self.copy = None
         return count
 
-    def digest(self) -> str:
-        """The key of the bytes read so far."""
-        leaves = self.leaves + [self._leaf.digest()] if self._filled else self.leaves
-        return _tree_digest(b"".join(leaves))
 
-
-def _leaf_counter(leaves: int):
-    """A thread-safe callable that gives each leaf index 0..leaves-1 once, then None."""
-    order, lock = iter(range(leaves)), threading.Lock()
+def _leaf_counter(count: int):
+    """A thread-safe callable that gives each index 0..count-1 once, in order, then None."""
+    order, lock = iter(range(count)), threading.Lock()
 
     def take() -> int | None:
         with lock:
@@ -407,30 +395,56 @@ def _leaf_counter(leaves: int):
     return take
 
 
-def _hash_leaves(fd: int, size: int, take, digests: list[bytes]) -> None:
-    """Hash the leaves that `take` gives of the open file of `size` bytes, until it
-    gives None, writing each leaf's sha256 digest into `digests` at its index."""
-    buffer = memoryview(bytearray(min(_LEAF, size)))
-    while (leaf := take()) is not None:
-        filled = 0
-        while filled < len(buffer):
-            count = os.preadv(fd, [buffer[filled:]], leaf * _LEAF + filled)
-            if count == 0:
-                break
-            filled += count
-        digests[leaf] = hashlib.sha256(buffer[:filled]).digest()
+def _fill(fd: int, buffer: bytearray, offset: int) -> bool:
+    """Read the file's bytes from `offset` into all of `buffer`; False if the file ends first."""
+    view, filled = memoryview(buffer), 0
+    while filled < len(view):
+        count = os.preadv(fd, [view[filled:]], offset + filled)
+        if count == 0:
+            return False
+        filled += count
+    return True
+
+
+def _chunks_equal(csv_fd: int, copy_fd: int, start: int, size: int, take) -> bool:
+    """Whether each chunk of the CSV of `size` bytes that `take` gives, until it
+    gives None, equals the same chunk of the copy that starts at `start` in the
+    sidecar. Stops at the first chunk that differs."""
+    ours, theirs = bytearray(min(_CHUNK, size)), bytearray(min(_CHUNK, size))
+    while (chunk := take()) is not None:
+        at = chunk * _CHUNK
+        # only the last chunk is short, and `take` gives it last
+        del ours[size - at:], theirs[size - at:]
+        # bytearrays compare with memcmp, memoryviews byte by byte
+        if not (_fill(csv_fd, ours, at) and _fill(copy_fd, theirs, start + at) and ours == theirs):
+            return False
+    return True
+
+
+def _copy_start(fd: int, copy: zipfile.ZipInfo, size: int) -> int | None:
+    """Where the bytes of the sidecar's copy start, or None unless the copy is
+    stored uncompressed and is `size` bytes long."""
+    if copy.compress_type != zipfile.ZIP_STORED or not copy.file_size == copy.compress_size == size:
+        return None
+    # the 30-byte local header: signature, 22 bytes of fields, then the name and extra lengths
+    header = os.pread(fd, 30, copy.header_offset)
+    if len(header) < 30:
+        return None
+    signature, name, extra = struct.unpack("<4s22xHH", header)
+    return copy.header_offset + 30 + name + extra if signature == b"PK\x03\x04" else None
 
 
 def _sidecar_path(path) -> str:
     return os.fspath(path) + ".npz"
 
 
-def _parse_profile_cache(path) -> tuple[Corpus, str]:
-    """Parse a cache CSV; returns the corpus and the sidecar key of the bytes parsed."""
+def _parse_profile_cache(path, copy=None) -> tuple[Corpus, bool]:
+    """Parse a cache CSV, writing every byte read to `copy`, a binary file, if
+    given; returns the corpus and whether every write to `copy` succeeded."""
     try:
         with open(path, "rb") as raw:
-            hashed = _HashingReader(raw)
-            with io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8") as fh:
+            tee = _TeeReader(raw, copy)
+            with io.TextIOWrapper(io.BufferedReader(tee), encoding="utf-8") as fh:
                 if fh.readline().rstrip("\n").split(",") != CACHE_HEADER:
                     raise NormalizationError(f"not a profile cache: {path}: the header must be "
                                              f"cell_id,x_m,y_m,s000..s{SLOTS_PER_DAY - 1:03d}")
@@ -449,54 +463,80 @@ def _parse_profile_cache(path) -> tuple[Corpus, str]:
     if not (np.isfinite(ids) & (ids == np.rint(ids))).all():
         raise NormalizationError(f"{path}: cell ids must be integers")
     try:
-        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:]), hashed.digest()
+        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:]), tee.copy is not None
     except NormalizationError as exc:
         raise NormalizationError(f"{path}: {exc}") from None
 
 
 def _read_sidecar(path) -> Corpus | None:
-    """The corpus stored beside the cache under the cache's current key, or
-    None when the sidecar is missing, stale or unreadable, or fails the
-    corpus checks. A helper thread hashes the CSV's leaves while this thread
-    reads the arrays and checks the corpus; then this thread takes leaves
-    from the same counter until none is left."""
+    """The corpus stored beside the cache, or None when the sidecar is missing,
+    unreadable or damaged, fails the corpus checks, or holds a copy that is not
+    byte for byte the CSV's current content. A helper thread compares chunks
+    of the CSV and the copy while this thread reads the arrays, which the zip
+    CRCs check, and checks the corpus; then this thread takes chunks from the
+    same counter until none is left."""
     try:
         with contextlib.ExitStack() as stack:
             # opened here, not by np.load, which leaves a file it fails to read open
-            data = np.load(stack.enter_context(open(_sidecar_path(path), "rb")), allow_pickle=False)
+            sidecar = stack.enter_context(open(_sidecar_path(path), "rb"))
+            data = np.load(sidecar, allow_pickle=False)
             if not isinstance(data, np.lib.npyio.NpzFile):
                 return None
             stack.enter_context(data)
-            digest = str(data["digest"])
-            if not digest.startswith(_DIGEST_PREFIX):
-                return None                     # an older version's key: stale
+            copy = data.zip.getinfo(_COPY)     # a KeyError for an older sidecar: stale
             fd = os.open(path, os.O_RDONLY)
             stack.callback(os.close, fd)        # after the helpers are joined
             size = os.fstat(fd).st_size
-            digests = [b""] * -(-size // _LEAF)
-            take = _leaf_counter(len(digests))
-            pool = stack.enter_context(ThreadPoolExecutor(_HASH_WORKERS))
-            helpers = [pool.submit(_hash_leaves, fd, size, take, digests) for _ in range(_HASH_WORKERS)]
+            start = _copy_start(sidecar.fileno(), copy, size)
+            if start is None:
+                return None
+            take = _leaf_counter(-(-size // _CHUNK))
+            pool = stack.enter_context(ThreadPoolExecutor(_COMPARE_WORKERS))
+            helpers = [pool.submit(_chunks_equal, fd, sidecar.fileno(), start, size, take)
+                       for _ in range(_COMPARE_WORKERS)]
             corpus = Corpus(data["ids"], data["xy"], data["loads"])
-            _hash_leaves(fd, size, take, digests)
-            for helper in helpers:
-                helper.result()
-            return corpus if _tree_digest(b"".join(digests)) == digest else None
+            equal = _chunks_equal(fd, sidecar.fileno(), start, size, take)
+            return corpus if all([helper.result() for helper in helpers]) and equal else None
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, NormalizationError):
         return None
 
 
-def _write_sidecar(path, corpus: Corpus, digest: str) -> None:
-    """Store the corpus beside the cache; a failed write leaves no sidecar."""
+def _close_quietly(file) -> None:
+    with contextlib.suppress(OSError):
+        file.close()
+
+
+def _remove_quietly(path) -> None:
+    with contextlib.suppress(OSError):
+        os.remove(path)
+
+
+def _parse_and_store(path) -> Corpus:
+    """Parse the cache CSV and store the corpus in a new sidecar. The parse
+    streams the bytes it reads into the sidecar's copy, the arrays follow once
+    it succeeds, and a rename puts the sidecar in place. A bad CSV raises; a
+    sidecar that cannot be written is skipped. Neither leaves a file behind."""
     sidecar = _sidecar_path(path)
     partial = f"{sidecar}.{os.getpid()}.tmp"
-    try:
-        with open(partial, "wb") as fh:
-            np.savez(fh, digest=np.array(digest), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
-        os.replace(partial, sidecar)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
+    with contextlib.ExitStack() as cleanup:
+        cleanup.callback(_remove_quietly, partial)      # nothing left to remove once renamed
+        try:
+            archive = zipfile.ZipFile(partial, "w")
+            cleanup.callback(_close_quietly, archive)
+            copy = archive.open(_COPY, "w", force_zip64=True)
+            cleanup.callback(_close_quietly, copy)
+        except OSError:
+            copy = None
+        corpus, copied = _parse_profile_cache(path, copy)
+        if copied:
+            with contextlib.suppress(OSError):
+                copy.close()
+                for name in ("ids", "xy", "loads"):
+                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                        np.lib.format.write_array(member, getattr(corpus, name), allow_pickle=False)
+                archive.close()
+                os.replace(partial, sidecar)
+    return corpus
 
 
 def load_profile_cache(path) -> Corpus:
@@ -506,17 +546,14 @@ def load_profile_cache(path) -> Corpus:
     non-integer or repeated cell id, and a non-finite or out-of-range value
     raise NormalizationError.
 
-    The CSV is parsed once per content: the parsed arrays are stored beside
-    it in `<path>.npz`, keyed by a hash tree of the CSV bytes the parse read
-    (`sha256-tree-1MiB:` and the sha256 of the concatenated sha256 digests
-    of its 1 MiB leaves), and a later call whose CSV has that key reads the
-    arrays instead. A missing, stale or damaged sidecar only costs a parse,
-    so deleting it is always safe; a bad CSV never gets one. A sidecar
-    written by an older version, keyed by the plain sha256 of the CSV, is
-    stale: the CSV is parsed once more and the sidecar rewritten.
+    The CSV is parsed once per content: the parse streams the bytes it reads
+    into a sidecar, `<path>.npz`, and stores the parsed arrays beside them.
+    A later call compares the CSV with that copy byte for byte and reads the
+    arrays only when the two are equal. A missing, stale or damaged sidecar
+    only costs a parse, so deleting it is always safe; a bad CSV never gets
+    one. A sidecar without the copy, written by an older version, is stale:
+    the CSV is parsed once more and the sidecar rewritten. The sidecar takes
+    about 1.4 times the CSV's size on disk.
     """
     corpus = _read_sidecar(path)
-    if corpus is None:
-        corpus, digest = _parse_profile_cache(path)
-        _write_sidecar(path, corpus, digest)
-    return corpus
+    return corpus if corpus is not None else _parse_and_store(path)

@@ -2,8 +2,10 @@ import csv
 import errno
 import hashlib
 import os
+import subprocess
 import sys
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -357,17 +359,38 @@ class TestProfileCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.csv"]
 
 
-def rewrite_sidecar(sidecar, change):
-    with np.load(sidecar) as data:
-        arrays = {name: data[name].copy() for name in data.files}
-    change(arrays)
+def write_sidecar(sidecar, csv=None, **arrays):
+    """A sidecar with these arrays and, if given, `csv` as its stored copy of the CSV."""
     with open(sidecar, "wb") as fh:
         np.savez(fh, **arrays)
+    if csv is not None:
+        with zipfile.ZipFile(sidecar, "a") as archive:
+            archive.writestr("csv", csv)
+
+
+def rewrite_sidecar(sidecar, change):
+    # np.load gives the stored copy, which is no .npy member, as bytes
+    with np.load(sidecar) as data:
+        members = {name: data[name] for name in data.files}
+    change(members)
+    write_sidecar(sidecar, **members)
 
 
 def write_npy(sidecar):
     with open(sidecar, "wb") as fh:
         np.save(fh, np.zeros(3))
+
+
+def flip_copied_byte(sidecar):
+    # in place, so the member's zip CRC no longer matches either
+    data = bytearray(sidecar.read_bytes())
+    data[data.index(sidecar.with_suffix("").read_bytes()) + 1000] ^= 1
+    sidecar.write_bytes(data)
+
+
+def grow_csv(sidecar):
+    with open(sidecar.with_suffix(""), "ab") as fh:
+        fh.write(b"\n")
 
 
 SIDECAR_DAMAGE = [
@@ -376,27 +399,25 @@ SIDECAR_DAMAGE = [
     pytest.param(lambda sidecar: sidecar.write_bytes(b"\x00 not a sidecar" * 64), id="garbage"),
     pytest.param(lambda sidecar: sidecar.write_bytes(b""), id="empty"),
     pytest.param(write_npy, id="npy"),
-    pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays.pop("xy")), id="missing-key"),
-    pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda arrays: arrays["loads"].__setitem__((1, 2), 1.5)),
+    pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda members: members.pop("xy")), id="missing-key"),
+    pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda members: members["loads"].__setitem__((1, 2), 1.5)),
                  id="out-of-range"),
+    pytest.param(flip_copied_byte, id="copy-byte-flipped"),
+    pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda members: members.__setitem__(
+        "csv", members["csv"][:-1])), id="copy-one-byte-short"),
+    pytest.param(grow_csv, id="csv-one-byte-longer"),
 ]
 
 
-def serial_tree_digest(data: bytes, leaf: int) -> str:
-    """The sidecar key of `data` with leaves of `leaf` bytes, hashed in one pass."""
-    leaves = b"".join(hashlib.sha256(data[at:at + leaf]).digest() for at in range(0, len(data), leaf))
-    return "sha256-tree-1MiB:" + hashlib.sha256(leaves).hexdigest()
-
-
-def sidecar_digest(sidecar) -> str:
-    with np.load(sidecar) as data:
-        return str(data["digest"])
+def stored_copy(sidecar) -> bytes:
+    with zipfile.ZipFile(sidecar) as archive:
+        return archive.read("csv")
 
 
 class TestProfileCacheSidecar:
-    """load_profile_cache keeps the parsed arrays in `<cache>.npz`, keyed by
-    the sha256 of the CSV, and parses the CSV only when that sidecar does not
-    hold the CSV's current content."""
+    """load_profile_cache keeps the parsed arrays in `<cache>.npz`, beside a
+    copy of the CSV bytes they were parsed from, and parses the CSV only when
+    its current bytes are not that copy byte for byte."""
 
     @staticmethod
     def write_cache(tmp_path):
@@ -409,6 +430,12 @@ class TestProfileCacheSidecar:
         def refuse(*args, **kwargs):
             raise AssertionError("the CSV was parsed")
         monkeypatch.setattr(np, "loadtxt", refuse)
+
+    @staticmethod
+    def count_parses(monkeypatch) -> list:
+        parses, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parses.append(args) or loadtxt(*args, **kwargs))
+        return parses
 
     def test_hit_equals_miss(self, tmp_path):
         path = self.write_cache(tmp_path)
@@ -448,7 +475,9 @@ class TestProfileCacheSidecar:
         path = self.write_cache(tmp_path)
         load_profile_cache(path)
         damage(tmp_path / "cache.csv.npz")
+        parses = self.count_parses(monkeypatch)
         assert load_profile_cache(path) == small_corpus()
+        assert len(parses) == 1
         self.forbid_parse(monkeypatch)
         assert load_profile_cache(path) == small_corpus()
 
@@ -460,65 +489,98 @@ class TestProfileCacheSidecar:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.csv", "cache.csv.npz"]
         assert (tmp_path / "cache.csv.npz").is_dir()
 
-    LEAF = 64
+    @pytest.mark.parametrize("fails", ["csv", "loads.npy", "rename"])
+    def test_failed_sidecar_write_leaves_no_file(self, tmp_path, monkeypatch, fails):
+        # a full disk while the parse streams the copy, while the arrays follow, or at the rename
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        class FullDisk(zipfile.ZipFile):
+            def open(self, name, mode="r", **kwargs):
+                member = super().open(name, mode, **kwargs)
+                if mode == "w" and name == fails:
+                    member.write = full
+                return member
+
+        path = self.write_cache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(zipfile, "ZipFile", FullDisk)
+            if fails == "rename":
+                patch.setattr(os, "replace", full)
+            assert load_profile_cache(path) == small_corpus()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.csv"]
+        load_profile_cache(path)
+        assert stored_copy(tmp_path / "cache.csv.npz") == path.read_bytes()
+
+    # the names below are those of the tests of the earlier sha256-tree key; each
+    # now checks the byte comparison for what it checked of that key
+    CHUNK = 64
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("size", [0, 1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 17])
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
     def test_tree_digest_matches_serial(self, tmp_path, monkeypatch, size, workers):
-        monkeypatch.setattr(vhetsim.ingest, "_LEAF", self.LEAF)
-        monkeypatch.setattr(vhetsim.ingest, "_HASH_WORKERS", workers)
+        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", self.CHUNK)
+        monkeypatch.setattr(vhetsim.ingest, "_COMPARE_WORKERS", workers)
         data = np.random.default_rng(size).bytes(size)
         path = tmp_path / "cache.csv"
         path.write_bytes(data)
         corpus = small_corpus()
 
-        def keyed(digest):
-            with open(tmp_path / "cache.csv.npz", "wb") as fh:
-                np.savez(fh, digest=np.array(digest), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        def stored(copy):
+            write_sidecar(tmp_path / "cache.csv.npz", csv=copy, ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
             return _read_sidecar(path)
 
-        # only the CSV's bytes are hashed, so they need not parse
-        assert keyed(serial_tree_digest(data, self.LEAF)) == corpus
-        assert keyed(serial_tree_digest(data + b"\n", self.LEAF)) is None
-        if size > self.LEAF:
-            assert keyed(serial_tree_digest(data, 2 * self.LEAF)) is None
+        # only the CSV's bytes are compared, so they need not parse
+        assert stored(data) == corpus
+        assert stored(data + b"\n") is None
+        assert stored(b"\n" + data) is None
+        if size:
+            assert stored(data[:-1]) is None
+        # a flipped byte at each end of every chunk
+        for at in sorted({0, size - 1} | {end + step for end in range(0, size, self.CHUNK) for step in (-1, 0)}):
+            if 0 <= at < size:
+                flipped = bytearray(data)
+                flipped[at] ^= 0x80
+                assert stored(bytes(flipped)) is None, at
 
     @pytest.mark.parametrize("hasher", ["caller", "helper"])
-    @pytest.mark.parametrize("size", [LEAF, 5 * LEAF + 17])
+    @pytest.mark.parametrize("size", [CHUNK, 5 * CHUNK + 17])
     def test_one_thread_hashes_every_leaf(self, tmp_path, monkeypatch, hasher, size):
-        # the other thread starts taking leaves only once `hasher` has taken them all
-        monkeypatch.setattr(vhetsim.ingest, "_LEAF", self.LEAF)
-        monkeypatch.setattr(vhetsim.ingest, "_HASH_WORKERS", 1)
-        hash_leaves, caller = vhetsim.ingest._hash_leaves, threading.get_ident()
+        # the other thread starts taking chunks only once `hasher` has compared them all
+        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", self.CHUNK)
+        monkeypatch.setattr(vhetsim.ingest, "_COMPARE_WORKERS", 1)
+        chunks_equal, caller = vhetsim.ingest._chunks_equal, threading.get_ident()
         done = {"caller": threading.Event(), "helper": threading.Event()}
         taken = {"caller": [], "helper": []}
 
-        def in_turn(fd, size, take, digests):
+        def in_turn(csv_fd, copy_fd, start, size, take):
             me = "caller" if threading.get_ident() == caller else "helper"
             if me != hasher:
                 assert done[hasher].wait(30)
 
             def recorded():
-                leaf = take()
-                taken[me].extend([] if leaf is None else [leaf])
-                return leaf
+                chunk = take()
+                taken[me].extend([] if chunk is None else [chunk])
+                return chunk
 
             try:
-                hash_leaves(fd, size, recorded, digests)
+                return chunks_equal(csv_fd, copy_fd, start, size, recorded)
             finally:
                 done[me].set()
 
-        monkeypatch.setattr(vhetsim.ingest, "_hash_leaves", in_turn)
+        monkeypatch.setattr(vhetsim.ingest, "_chunks_equal", in_turn)
         data = np.random.default_rng(size).bytes(size)
         path = tmp_path / "cache.csv"
         path.write_bytes(data)
         corpus = small_corpus()
-        with open(tmp_path / "cache.csv.npz", "wb") as fh:
-            np.savez(fh, digest=np.array(serial_tree_digest(data, self.LEAF)),
-                     ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        sidecar = tmp_path / "cache.csv.npz"
+        write_sidecar(sidecar, csv=data, ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
         assert _read_sidecar(path) == corpus
         other = "helper" if hasher == "caller" else "caller"
-        assert taken == {hasher: list(range(-(-size // self.LEAF))), other: []}
+        assert taken == {hasher: list(range(-(-size // self.CHUNK))), other: []}
+        # and a difference in the last chunk is a miss
+        write_sidecar(sidecar, csv=data[:-1] + bytes([data[-1] ^ 1]), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        assert _read_sidecar(path) is None
 
     def test_leaf_counter_gives_each_leaf_once(self):
         # more threads than cores, switching as often as the interpreter allows
@@ -544,41 +606,46 @@ class TestProfileCacheSidecar:
         assert sorted(leaf for mine in taken for leaf in mine) == list(range(20_000))
         assert take() is None
 
-    def test_sidecar_of_the_earlier_tree_key_is_a_hit(self, tmp_path, monkeypatch):
-        # the key that the two-worker hashing of contiguous leaf runs wrote for
-        # this CSV of 1 735 785 bytes, two 1 MiB leaves
+    def test_sidecar_of_the_earlier_tree_key_is_parsed_once_and_rewritten(self, tmp_path, monkeypatch):
+        # the sidecar that the sha256-tree key wrote for this CSV of 1 735 785
+        # bytes: its key, and no copy of the CSV
         earlier_key = "sha256-tree-1MiB:fa794ddca90da27f85134a4f1e7b5c5429ea573a9fd0a95bbba66e3acc6bf882"
         ids = np.arange(1, 2401)
         corpus = Corpus(ids, grid_centroids(ids, 49), (ids[:, None] * 7 + np.arange(144) * 13) % 101 / 100.0)
         path = tmp_path / "cache.csv"
         save_profile_cache(corpus, path)
-        assert serial_tree_digest(path.read_bytes(), 1 << 20) == earlier_key
-        with open(tmp_path / "cache.csv.npz", "wb") as fh:
-            np.savez(fh, digest=np.array(earlier_key), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
-        self.forbid_parse(monkeypatch)
-        assert load_profile_cache(path) == corpus
+        sidecar = tmp_path / "cache.csv.npz"
+        write_sidecar(sidecar, digest=np.array(earlier_key), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        parses = self.count_parses(monkeypatch)
+        for _ in range(3):
+            assert load_profile_cache(path) == corpus
+        assert len(parses) == 1
+        assert stored_copy(sidecar) == path.read_bytes()
+        with np.load(sidecar) as data:
+            assert sorted(data.files) == ["csv", "ids", "loads", "xy"]
 
     @pytest.mark.parametrize("leaf", [64, 1000, 8192, 1 << 20])
     def test_parse_key_is_load_key(self, tmp_path, monkeypatch, leaf):
-        # the parse reads through an 8 KiB buffer, so most leaves end inside a read
-        monkeypatch.setattr(vhetsim.ingest, "_LEAF", leaf)
+        # the copy is what the parse read through its 8 KiB buffer, so most
+        # chunks of `leaf` bytes that the load compares end inside a read
+        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", leaf)
         path = self.write_cache(tmp_path)
         load_profile_cache(path)
-        assert sidecar_digest(tmp_path / "cache.csv.npz") == serial_tree_digest(path.read_bytes(), leaf)
+        assert stored_copy(tmp_path / "cache.csv.npz") == path.read_bytes()
         self.forbid_parse(monkeypatch)
         assert load_profile_cache(path) == small_corpus()
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_same_length_edit_in_each_leaf_is_parsed(self, tmp_path, monkeypatch, where):
-        leaf = 1000
-        monkeypatch.setattr(vhetsim.ingest, "_LEAF", leaf)
+        chunk = 1000
+        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", chunk)
         path = self.write_cache(tmp_path)
         load_profile_cache(path)
         data = bytearray(path.read_bytes())
-        leaves = -(-len(data) // leaf)
-        first = {"first": 0, "middle": leaves // 2, "last": leaves - 1}[where] * leaf
-        # the first decimal digit of a load factor that starts inside the leaf
-        at = next(i + 3 for i in range(first, min(first + leaf, len(data)) - 3)
+        chunks = -(-len(data) // chunk)
+        first = {"first": 0, "middle": chunks // 2, "last": chunks - 1}[where] * chunk
+        # the first decimal digit of a load factor that starts inside the chunk
+        at = next(i + 3 for i in range(first, min(first + chunk, len(data)) - 3)
                   if data[i:i + 3] == b",0." and data[i + 3:i + 4].isdigit())
         data[at] = ord(str((int(chr(data[at])) + 1) % 10))
         stat = path.stat()
@@ -592,16 +659,14 @@ class TestProfileCacheSidecar:
         path = self.write_cache(tmp_path)
         load_profile_cache(path)
         sidecar = tmp_path / "cache.csv.npz"
-        # an older version keyed the sidecar by the plain sha256 hex digest of the CSV
+        # an older version kept no copy and keyed the sidecar by the plain sha256 hex digest of the CSV
         plain = hashlib.sha256(path.read_bytes()).hexdigest()
-        rewrite_sidecar(sidecar, lambda arrays: arrays.__setitem__("digest", np.array(plain)))
-        parses = []
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parses.append(args) or loadtxt(*args, **kwargs))
+        rewrite_sidecar(sidecar, lambda members: members.update(csv=None, digest=np.array(plain)))
+        parses = self.count_parses(monkeypatch)
         for _ in range(3):
             assert load_profile_cache(path) == small_corpus()
         assert len(parses) == 1
-        assert sidecar_digest(sidecar) == serial_tree_digest(path.read_bytes(), 1 << 20)
+        assert stored_copy(sidecar) == path.read_bytes()
 
     def test_no_thread_or_fd_leaks(self, tmp_path, monkeypatch):
         def open_fds():
@@ -629,7 +694,7 @@ class TestProfileCacheSidecar:
 
         with monkeypatch.context() as patch:
             patch.setattr(os, "preadv", unreadable)
-            assert load_profile_cache(path) == small_corpus()   # a hashing thread fails
+            assert load_profile_cache(path) == small_corpus()   # a comparing thread fails
         path.rename(tmp_path / "moved.csv")
         with pytest.raises(NormalizationError, match="cannot read"):
             load_profile_cache(path)                    # no CSV beside the sidecar
@@ -639,3 +704,13 @@ class TestProfileCacheSidecar:
         assert threading.active_count() == threads
         if fds is not None:
             assert open_fds() == fds
+
+
+def test_cli_import_leaves_scipy_out():
+    # only synth_traffic uses SciPy, and importing it more than doubles the CLI's start-up
+    src = os.path.dirname(os.path.dirname(vhetsim.ingest.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, vhetsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

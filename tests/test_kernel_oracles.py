@@ -755,6 +755,27 @@ class TestSharedContext:
             got = kmeans_cluster(features, g, 1, context=context)
             assert got == kmeans_cluster(features, g, 1) == lloyd_kmeans(features, g, 1)
 
+    def test_merged_set_is_a_fresh_sort(self):
+        # grid values, so the changed points tie with kept ones and with each other
+        rng = np.random.default_rng(18)
+        orders_differ = 0
+        for trial in range(40):
+            n = int(rng.integers(12, 300))
+            old = rng.integers(0, 9, n) / 8.0
+            changed = rng.random(n) < rng.uniform(0.02, 0.5)
+            new = old.copy()
+            new[changed] = rng.integers(0, 9, int(changed.sum())) / 8.0
+            merged, fresh = _PointSet(old).merged(new, changed), _PointSet(new)
+            order, xs, csum, csq, sum_err, reach = merged.prefix
+            assert xs == fresh.prefix[1] and sorted(order.tolist()) == list(range(n))
+            assert csum.tobytes() == fresh.prefix[2].tobytes() and csq.tobytes() == fresh.prefix[3].tobytes()
+            assert (sum_err, reach) == fresh.prefix[4:]
+            orders_differ += not np.array_equal(order, fresh.prefix[0])
+            for g in range(1, 9):
+                for seed in range(3):
+                    assert kmeans_cluster(new, g, seed, context=merged) == kmeans_cluster(new, g, seed, context=fresh)
+        assert orders_differ >= 10
+
     def test_layer_zero_reuses_elbow_fit(self, monkeypatch):
         fits = []
 
