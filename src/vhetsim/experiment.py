@@ -9,7 +9,7 @@ runs again on the estimated loads, and the discrepancy metrics are recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +221,7 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
                     estimation_error=eps,
                     power_true=p_true,
                     power_est=p_est,
-                    decision_change_rate=decision_change_rate(sv_true, sv_est),
+                    decision_change_rate=decision_change_rate(sv_true.delta, sv_est.delta),
                     p_err_off_on=math.nan if p_off_on is None else p_off_on,
                     p_err_on_off=math.nan if p_on_off is None else p_on_off,
                     skipped_zero_load=skipped,

@@ -10,6 +10,7 @@ of arrays.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import gzip
 import io
@@ -19,13 +20,14 @@ import struct
 import threading
 import warnings
 import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CdrParseError, NormalizationError
+from .errors import CdrParseError, NormalizationError, SimulationError
 
 SLOTS_PER_DAY = 144
 SLOT_MS = 600_000
@@ -36,27 +38,6 @@ DEFAULT_CELL_SIZE_M = 235.0
 _ACTIVITY_FIELDS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 _STATIC_NOISE_SHARE = 0.75
 CACHE_HEADER = ["cell_id", "x_m", "y_m"] + [f"s{t:03d}" for t in range(SLOTS_PER_DAY)]
-
-
-@dataclass(frozen=True)
-class CdrRecord:
-    square_id: int
-    time_interval: int
-    country_code: int
-    sms_in: float = 0.0
-    sms_out: float = 0.0
-    call_in: float = 0.0
-    call_out: float = 0.0
-    internet: float = 0.0
-
-    @property
-    def activity(self) -> float:
-        """Consolidated traffic measure: unweighted sum of the five columns."""
-        return self.sms_in + self.sms_out + self.call_in + self.call_out + self.internet
-
-    @property
-    def slot_of_day(self) -> int:
-        return (self.time_interval % DAY_MS) // SLOT_MS
 
 
 @dataclass(frozen=True)
@@ -176,62 +157,39 @@ def default_diurnal_profile() -> tuple[float, ...]:
     return tuple(float(v) for v in np.clip(base, 0.05, 0.95))
 
 
-def _parse_float(raw: str, name: str, line_number: int) -> float:
-    if raw == "":
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CdrParseError(f"bad {name} value {raw!r}", line_number) from None
-    if not math.isfinite(value):
-        raise CdrParseError(f"non-finite {name} value {raw!r}", line_number)
-    if value < 0:
-        raise CdrParseError(f"negative {name} value {raw!r}", line_number)
-    return value
+def parse_cdr_line(line: str, line_number: int = 0) -> tuple[int, int, float]:
+    """Parse one tab-separated CDR line into (square_id, interval_ms, activity).
 
-
-def parse_cdr_line(line: str, line_number: int = 0) -> CdrRecord:
-    """Parse one tab-separated CDR line; absent trailing activities become 0."""
+    The activity is the unweighted sum of the five activity columns, taken
+    left to right from 0.0 over the fields present; absent or empty ones
+    count 0. The country code is checked and dropped.
+    """
     fields = line.rstrip("\n").split("\t")
     if not 3 <= len(fields) <= 3 + len(_ACTIVITY_FIELDS):
         raise CdrParseError(f"expected 3..8 fields, got {len(fields)}", line_number)
     try:
         square_id = int(fields[0])
         interval = int(fields[1])
-        country = int(fields[2])
+        int(fields[2])
     except ValueError as exc:
         raise CdrParseError(str(exc), line_number) from None
     if not 1 <= square_id <= MILAN_GRID_CELLS:
         raise CdrParseError(f"square_id {square_id} outside [1, {MILAN_GRID_CELLS}]", line_number)
     if interval % SLOT_MS != 0:
         raise CdrParseError(f"interval {interval} not a 10-minute boundary", line_number)
-    activities = {
-        name: _parse_float(fields[3 + i] if 3 + i < len(fields) else "", name, line_number)
-        for i, name in enumerate(_ACTIVITY_FIELDS)
-    }
-    return CdrRecord(square_id, interval, country, **activities)
-
-
-def cdr_line(record: CdrRecord) -> str:
-    """Serialize a record back to the tab-separated wire format."""
-    return "\t".join(
-        [str(record.square_id), str(record.time_interval), str(record.country_code)]
-        + [repr(getattr(record, name)) for name in _ACTIVITY_FIELDS]
-    )
-
-
-def build_daily_profile(aggregates: dict[tuple[int, int], float], day_count: int) -> dict[int, np.ndarray]:
-    """Average slot totals over the observation days; missing slots are 0.
-
-    Only cells present in the aggregates appear.
-    """
-    if day_count < 1:
-        raise ValueError("day_count must be >= 1")
-    profiles: dict[int, np.ndarray] = {}
-    for (square, slot), total in aggregates.items():
-        vec = profiles.setdefault(square, np.zeros(SLOTS_PER_DAY))
-        vec[slot] = total / day_count
-    return profiles
+    activity = 0.0
+    for name, raw in zip(_ACTIVITY_FIELDS, fields[3:]):
+        if raw:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise CdrParseError(f"bad {name} value {raw!r}", line_number) from None
+            if not math.isfinite(value):
+                raise CdrParseError(f"non-finite {name} value {raw!r}", line_number)
+            if value < 0:
+                raise CdrParseError(f"negative {name} value {raw!r}", line_number)
+            activity += value
+    return square_id, interval, activity
 
 
 def grid_centroids(square_ids, grid_side: int, cell_size_m: float = DEFAULT_CELL_SIZE_M) -> np.ndarray:
@@ -244,24 +202,6 @@ def grid_centroids(square_ids, grid_side: int, cell_size_m: float = DEFAULT_CELL
         raise ValueError(f"square_id {ids[outside][0]} outside [1, {grid_side * grid_side}]")
     row, col = np.divmod(ids - 1, grid_side)
     return np.column_stack([(col + 0.5) * cell_size_m, (row + 0.5) * cell_size_m])
-
-
-def normalize_profiles(
-    profiles: dict[int, np.ndarray],
-    grid_side: int,
-    cell_size_m: float = DEFAULT_CELL_SIZE_M,
-) -> Corpus:
-    """Divide every raw value by the corpus-wide maximum so the peak maps to 1."""
-    if not profiles:
-        raise NormalizationError("empty profile corpus")
-    ids = np.array(sorted(profiles), dtype=np.int64)
-    raw = np.array([profiles[square] for square in ids.tolist()], dtype=np.float64)
-    peak = float(raw.max())
-    if peak <= 0.0:
-        raise NormalizationError("all-zero corpus: nothing to normalize")
-    if ids[-1] > grid_side * grid_side:
-        raise NormalizationError(f"square_id {ids[-1]} outside a {grid_side} x {grid_side} grid")
-    return Corpus(ids, grid_centroids(ids, grid_side, cell_size_m), raw / peak)
 
 
 def synth_traffic(params: SynthParams) -> Corpus:
@@ -300,15 +240,6 @@ def synth_traffic(params: SynthParams) -> Corpus:
     return Corpus(ids, grid_centroids(ids, side, params.cell_size_m), loads)
 
 
-def iter_cdr_file(path):
-    """Yield records from a plain or gzip-compressed CDR text file."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if line.strip():
-                yield parse_cdr_line(line, line_number=i)
-
-
 def ingest_dataset(
     dataset_dir,
     grid_side: int,
@@ -317,8 +248,18 @@ def ingest_dataset(
 ) -> Corpus:
     """Parse every CDR file under a directory into normalized profiles.
 
-    With day_count=None the number of days is inferred from the distinct
-    calendar days present in the data.
+    Each `.txt`, `.tsv` or gzip-compressed `.gz` file is read in name order.
+    Activity is summed over country codes and days into (square, slot of
+    day) totals: a file's lines in line order into the file's shard, and the
+    shards in file order into the corpus totals. The totals are divided by
+    the day count, then by their peak, and every square with at least one
+    line gets a profile. With day_count=None the number of days is inferred
+    from the distinct calendar days present in the data.
+
+    A directory that cannot be listed or holds no CDR file raises
+    NormalizationError; a file that cannot be read or decompressed, or a bad
+    line, raises CdrParseError naming the file. A byte that is not UTF-8
+    fails its field's parse, so it is reported with its line number.
     """
     if grid_side < 1:
         raise NormalizationError(f"grid side must be >= 1, got {grid_side}")
@@ -326,34 +267,60 @@ def ingest_dataset(
         raise NormalizationError(f"cell size must be finite and > 0, got {cell_size_m}")
     if day_count is not None and day_count < 1:
         raise NormalizationError(f"day count must be >= 1, got {day_count}")
-    paths = sorted(
-        p for p in Path(dataset_dir).iterdir()
-        if p.suffix in {".txt", ".tsv", ".gz"} or p.name.endswith(".txt.gz")
-    )
+    try:
+        paths = sorted(p for p in Path(dataset_dir).iterdir() if p.suffix in {".txt", ".tsv", ".gz"})
+    except OSError as exc:
+        raise NormalizationError(f"cannot read CDR directory {dataset_dir}: {exc.strerror}") from None
     if not paths:
         raise NormalizationError(f"no CDR files found under {dataset_dir}")
-    # activity summed over country codes and days into (square_id, slot_of_day)
-    # totals, one file's shard at a time
-    totals: dict[tuple[int, int], float] = {}
+    # flat (square - 1) * 144 + slot keys
+    totals = np.zeros(MILAN_GRID_CELLS * SLOTS_PER_DAY)
+    seen = np.zeros(MILAN_GRID_CELLS, dtype=bool)
     days: set[int] = set()
     for path in paths:
-        shard = {}
-        for rec in iter_cdr_file(path):
-            days.add(rec.time_interval // DAY_MS)
-            key = (rec.square_id, rec.slot_of_day)
-            shard[key] = shard.get(key, 0.0) + rec.activity
-        for key, value in shard.items():
-            totals[key] = totals.get(key, 0.0) + value
-    raw = build_daily_profile(totals, day_count if day_count is not None else max(len(days), 1))
-    return normalize_profiles(raw, grid_side, cell_size_m)
+        # 16 bytes a line, where lists of Python numbers take about 70
+        keys, activities = array.array("q"), array.array("d")
+        opener = gzip.open if path.suffix == ".gz" else open
+        try:
+            with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+                for number, line in enumerate(fh, start=1):
+                    if line.strip():
+                        square, interval, activity = parse_cdr_line(line, number)
+                        day, ms = divmod(interval, DAY_MS)
+                        days.add(day)
+                        keys.append((square - 1) * SLOTS_PER_DAY + ms // SLOT_MS)
+                        activities.append(activity)
+        except CdrParseError as exc:
+            exc.args = (f"{exc} in {path}",)
+            raise
+        except (OSError, EOFError, zlib.error) as exc:
+            raise CdrParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        keys = np.asarray(keys)
+        # bincount adds each key's values in line order, starting from 0.0
+        totals += np.bincount(keys, weights=np.asarray(activities), minlength=totals.size)
+        seen[keys // SLOTS_PER_DAY] = True
+    ids = np.flatnonzero(seen) + 1
+    if not len(ids):
+        raise NormalizationError("empty profile corpus")
+    raw = totals.reshape(MILAN_GRID_CELLS, SLOTS_PER_DAY)[seen] / (day_count or len(days))
+    peak = raw.max()
+    if peak <= 0.0:
+        raise NormalizationError("all-zero corpus: nothing to normalize")
+    if ids[-1] > grid_side * grid_side:
+        raise NormalizationError(f"square_id {ids[-1]} outside a {grid_side} x {grid_side} grid")
+    return Corpus(ids, grid_centroids(ids, grid_side, cell_size_m), raw / peak)
 
 
 def save_profile_cache(corpus: Corpus, path) -> None:
-    """Write a corpus as a CSV cache: cell_id, x_m, y_m, s000..s143."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CACHE_HEADER) + "\n")
-        for cell_id, (x, y), slots in zip(corpus.ids.tolist(), corpus.xy.tolist(), corpus.loads):
-            fh.write(f"{cell_id},{x!r},{y!r},{','.join(map(repr, slots.tolist()))}\n")
+    """Write a corpus as a CSV cache: cell_id, x_m, y_m, s000..s143. A file
+    that cannot be written raises SimulationError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(CACHE_HEADER) + "\n")
+            for cell_id, (x, y), slots in zip(corpus.ids.tolist(), corpus.xy.tolist(), corpus.loads):
+                fh.write(f"{cell_id},{x!r},{y!r},{','.join(map(repr, slots.tolist()))}\n")
+    except OSError as exc:
+        raise SimulationError(f"cannot write profile cache {path}: {exc.strerror}") from None
 
 
 # The sidecar `<cache>.npz` holds the parsed arrays and, as its uncompressed

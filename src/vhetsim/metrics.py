@@ -57,10 +57,8 @@ def mean_estimation_error(pairs) -> tuple[float, int]:
     return math.fsum(errors) / len(errors), skipped
 
 
-def decision_change_rate(delta_true, delta_est) -> float:
-    """Fraction of on/off bits that differ (offload sinks are ignored)."""
-    bits_true = tuple(delta_true.delta) if hasattr(delta_true, "delta") else tuple(delta_true)
-    bits_est = tuple(delta_est.delta) if hasattr(delta_est, "delta") else tuple(delta_est)
+def decision_change_rate(bits_true, bits_est) -> float:
+    """Fraction of on/off bits that differ between two equal-length bit sequences."""
     if len(bits_true) != len(bits_est):
         raise ValueError("state vectors must have equal length")
     return sum(a != b for a, b in zip(bits_true, bits_est)) / len(bits_true)

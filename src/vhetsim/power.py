@@ -8,7 +8,6 @@ the on/off bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,14 +89,6 @@ class NetworkLoadState:
         object.__setattr__(self, "lambda_haps", snap_load(self.lambda_haps))
         object.__setattr__(self, "lambda_mbs", snap_load(self.lambda_mbs))
         object.__setattr__(self, "lambda_sbs", tuple(snap_load(v) for v in self.lambda_sbs))
-
-    def carried_traffic(self, net: Network) -> float:
-        """Total carried traffic sum(C * lambda) over all stations."""
-        return (
-            self.lambda_haps * net.haps.capacity
-            + self.lambda_mbs * net.mbs.capacity
-            + math.fsum(l * b.capacity for l, b in zip(self.lambda_sbs, net.sbs))
-        )
 
 
 def bs_power(params: PowerParams, load: float, active) -> float:

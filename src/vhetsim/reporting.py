@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+from .errors import SimulationError
 from .experiment import ExperimentReport
 
 CSV_HEADER = ["iteration", "slot", "mean_eps", "power_true_w", "power_est_w",
@@ -17,14 +18,23 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _output_dir(outdir) -> Path:
+    """Create `outdir` and its parents as needed; SimulationError if it cannot be."""
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SimulationError(f"cannot create output directory {outdir}: {exc.strerror}") from None
+    return outdir
+
+
 def emit_report(report: ExperimentReport, outdir) -> dict[str, Path]:
     """Write rows.csv, summary.json and the resolved config echo.
 
     UTF-8, LF line endings, '.' decimal separator; byte-identical for
     identical (config, seed) runs.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(outdir)
     rows_path = outdir / "rows.csv"
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -49,27 +59,13 @@ def emit_report(report: ExperimentReport, outdir) -> dict[str, Path]:
     return {"rows": rows_path, "summary": summary_path, "config": config_path}
 
 
-def read_rows(path) -> list[dict]:
-    """Re-parse a rows.csv into typed dicts."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append({
-                "iteration": int(row["iteration"]),
-                "slot": int(row["slot"]),
-                **{k: float(row[k]) for k in CSV_HEADER[2:]},
-            })
-    return out
-
-
 def emit_sweep(results, x_key: str, outdir) -> list[Path]:
     """Write one plot-data series file per non-x override combination.
 
     `results` is a list of (overrides, ExperimentReport). Rows within a series
     are ordered by the x value; columns are the aggregate means of the run.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(outdir)
     series: dict[tuple, list] = {}
     for overrides, report in results:
         x_value = overrides[x_key]

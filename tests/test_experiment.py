@@ -1,3 +1,5 @@
+import csv
+import gzip
 import json
 import math
 
@@ -14,7 +16,7 @@ from vhetsim.ingest import (
     save_profile_cache,
     synth_traffic,
 )
-from vhetsim.reporting import emit_report, read_rows
+from vhetsim.reporting import CSV_HEADER, emit_report
 from vhetsim.experiment import ExperimentReport
 
 
@@ -179,6 +181,14 @@ class TestRunExperiment:
         assert agg["mean_eps"]["defined_rows"] == len(eps)
 
 
+def read_rows(path) -> list[dict]:
+    """Re-parse a rows.csv into typed dicts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [{"iteration": int(row["iteration"]), "slot": int(row["slot"]),
+                 **{k: float(row[k]) for k in CSV_HEADER[2:]}}
+                for row in csv.DictReader(fh)]
+
+
 class TestReporting:
     def test_emit_and_reparse(self, tmp_path):
         report = run_experiment(resolve_config(base_raw()))
@@ -321,6 +331,55 @@ class TestCli:
                      "--grid-side", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: non-finite") and "Traceback" not in err
+
+    @staticmethod
+    def write_bad_dataset(tmp_path, kind):
+        """A --dataset path of each kind that ingest cannot read."""
+        data = tmp_path / "cdr"
+        if kind == "missing":
+            return data
+        if kind == "file":
+            data.write_text("1\t0\t39\t1.0\n", encoding="utf-8")
+            return data
+        data.mkdir()
+        if kind == "invalid-utf8":
+            (data / "day1.txt").write_bytes(b"1\t0\t39\t1.0\n2\t0\t39\t\xe9\n")
+        else:
+            (data / "day1.txt.gz").write_bytes(gzip.compress(b"1\t0\t39\t1.0\n")[:-12] + b"junk")
+        return data
+
+    @pytest.mark.parametrize("kind", ["invalid-utf8", "corrupt-gzip", "missing", "file"])
+    def test_ingest_bad_dataset_clean_exit(self, tmp_path, capsys, kind):
+        data = self.write_bad_dataset(tmp_path, kind)
+        cache = tmp_path / "c.csv"
+        assert main(["ingest", "--dataset", str(data), "--cache", str(cache), "--grid-side", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + {
+            "invalid-utf8": f"line 2: bad sms_in value '\\udce9' in {data}/day1.txt\n",
+            "corrupt-gzip": f"cannot read {data}/day1.txt.gz: ",
+            "missing": f"cannot read CDR directory {data}: No such file or directory\n",
+            "file": f"cannot read CDR directory {data}: Not a directory\n",
+        }[kind]) and "Traceback" not in err
+        assert not cache.exists()
+
+    def test_ingest_unwritable_cache_clean_exit(self, tmp_path, capsys):
+        data = tmp_path / "cdr"
+        data.mkdir()
+        (data / "day1.txt").write_text("1\t0\t39\t1.0\n", encoding="utf-8")
+        cache = tmp_path / "absent" / "c.csv"
+        assert main(["ingest", "--dataset", str(data), "--cache", str(cache), "--grid-side", "2"]) == 1
+        assert capsys.readouterr().err == f"error: cannot write profile cache {cache}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_out_below_a_file_clean_exit(self, tmp_path, capsys, command):
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        out = tmp_path / "taken" / "out"
+        argv = [command, "--config", str(self.write_config(tmp_path)), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--vary", "estimator.neighbor_count=3"]
+            out = out / "run_estimator-neighbor_count=3"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot create output directory {out}: Not a directory\n"
 
     def test_sweep_loads_corpus_once(self, tmp_path, monkeypatch):
         import vhetsim.cli

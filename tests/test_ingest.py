@@ -1,7 +1,9 @@
 import csv
 import errno
+import gzip
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -16,16 +18,12 @@ from vhetsim.ingest import (
     _leaf_counter,
     _parse_profile_cache,
     _read_sidecar,
-    CdrRecord,
     Corpus,
     SynthParams,
     TrafficProfile,
-    build_daily_profile,
-    cdr_line,
     grid_centroids,
     ingest_dataset,
     load_profile_cache,
-    normalize_profiles,
     parse_cdr_line,
     save_profile_cache,
     synth_traffic,
@@ -34,16 +32,11 @@ from vhetsim.ingest import (
 
 class TestParseCdrLine:
     def test_full_line(self):
-        rec = parse_cdr_line("42\t1383260400000\t39\t0.1\t0.2\t\t0.3\t1.5")
-        assert rec.square_id == 42
-        assert rec.time_interval == 1383260400000
-        assert rec.country_code == 39
-        assert (rec.sms_in, rec.sms_out, rec.call_in, rec.call_out, rec.internet) == (
-            0.1, 0.2, 0.0, 0.3, 1.5)
+        assert parse_cdr_line("42\t1383260400000\t39\t0.1\t0.2\t\t0.3\t1.5") == (
+            42, 1383260400000, 0.1 + 0.2 + 0.0 + 0.3 + 1.5)
 
     def test_absent_activities_are_zero(self):
-        rec = parse_cdr_line("1\t1383260400000\t39")
-        assert rec.activity == 0.0
+        assert parse_cdr_line("1\t1383260400000\t39") == (1, 1383260400000, 0.0)
 
     def test_bad_square_id(self):
         with pytest.raises(CdrParseError):
@@ -65,10 +58,13 @@ class TestParseCdrLine:
         assert err.value.line_number == 9
 
     def test_roundtrip_preserves_activity_mass(self):
-        line = "42\t1383260400000\t39\t0.1\t0.2\t\t0.3\t1.5"
-        rec = parse_cdr_line(line)
-        again = parse_cdr_line(cdr_line(rec))
-        assert again.activity == pytest.approx(rec.activity, abs=0)
+        square, interval, activity = parse_cdr_line("42\t1383260400000\t39\t0.1\t0.2\t\t0.3\t1.5")
+        assert parse_cdr_line(cdr_line((square, interval, 39, activity))) == (square, interval, activity)
+
+
+def cdr_line(record) -> str:
+    """A (square_id, interval_ms, country_code, *activities) record as a tab-separated CDR line."""
+    return "\t".join(map(repr, record))
 
 
 def write_cdr_dir(path, *files):
@@ -80,27 +76,33 @@ def write_cdr_dir(path, *files):
     return path
 
 
+def write_raw_profiles(path, profiles):
+    """A one-day CDR directory whose (square, slot) totals are `profiles`, a
+    square -> 144 values dict."""
+    return write_cdr_dir(path, [(square, slot * 600_000, 39, float(value))
+                                for square, values in profiles.items()
+                                for slot, value in enumerate(values) if value])
+
+
 class TestAggregate:
     """ingest_dataset sums activity into (square, slot of day) totals."""
 
     def test_same_key_sums(self, tmp_path):
         # square 6 holds the peak: square 5's two country codes sum to half of it
-        recs = [CdrRecord(5, 0, 39, sms_in=1.0), CdrRecord(5, 0, 40, sms_in=2.0),
-                CdrRecord(6, 0, 39, internet=6.0)]
+        recs = [(5, 0, 39, 1.0), (5, 0, 40, 2.0), (6, 0, 39, 0.0, 0.0, 0.0, 0.0, 6.0)]
         corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3)
         assert corpus.ids.tolist() == [5, 6]
         assert corpus.loads[0, 0] == 0.5 and not corpus.loads[0, 1:].any()
 
     def test_zero_activity_entry(self, tmp_path):
-        recs = [CdrRecord(5, 0, 39), CdrRecord(6, 0, 39, call_in=1.0)]
+        recs = [(5, 0, 39), (6, 0, 39, 0.0, 0.0, 1.0)]
         corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3)
         assert corpus.ids.tolist() == [5, 6]
         assert not corpus.loads[0].any()
 
     def test_two_days_same_clock_slot(self, tmp_path):
         # same slot of day, one day apart: 6.0 over two days against a peak of 12.0 / 2
-        recs = [CdrRecord(5, 0, 39, sms_in=2.0), CdrRecord(5, 86_400_000, 39, sms_in=4.0),
-                CdrRecord(6, 600_000, 39, sms_in=12.0)]
+        recs = [(5, 0, 39, 2.0), (5, 86_400_000, 39, 4.0), (6, 600_000, 39, 12.0)]
         corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3)
         assert corpus.loads[0, 0] == 0.5 and not corpus.loads[0, 1:].any()
         assert corpus.loads[1, 1] == 1.0
@@ -110,7 +112,7 @@ class TestAggregate:
             ingest_dataset(write_cdr_dir(tmp_path / "cdr", []), grid_side=3)
 
     def test_merge_matches_single_pass(self, tmp_path):
-        recs = [CdrRecord(sq, slot * 600000, 39, internet=0.1 * (sq + slot) + 1.5)
+        recs = [(sq, slot * 600000, 39, 0.1 * (sq + slot) + 1.5)
                 for sq in (1, 2) for slot in (0, 1, 2) for _ in range(3)]
         whole = ingest_dataset(write_cdr_dir(tmp_path / "one", recs), grid_side=3)
         shards = ingest_dataset(write_cdr_dir(tmp_path / "two", recs[:7], recs[7:]), grid_side=3)
@@ -118,61 +120,121 @@ class TestAggregate:
 
 
 class TestDailyProfile:
-    def test_division(self):
-        prof = build_daily_profile({(5, 0): 6.0}, day_count=60)
-        assert prof[5][0] == pytest.approx(0.1)
+    """ingest_dataset divides the (square, slot) totals by the day count before the peak."""
 
-    def test_hand_division(self):
-        prof = build_daily_profile({(5, 0): 3.0, (5, 1): 6.0}, day_count=3)
-        assert prof[5][0] == 1.0 and prof[5][1] == 2.0
-        assert not prof[5][2:].any()
+    def test_division(self, tmp_path):
+        # 6.0 and 9.0 over 60 days: the daily means are rounded before the peak
+        # divides them, and 0.1 / 0.15 is one ulp off 6.0 / 9.0
+        recs = [(5, 0, 39, 6.0), (6, 0, 39, 9.0)]
+        corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3, day_count=60)
+        assert corpus.loads[0, 0] == (6.0 / 60) / (9.0 / 60) != 6.0 / 9.0
 
-    def test_zero_days_rejected(self):
-        with pytest.raises(ValueError):
-            build_daily_profile({}, day_count=0)
+    def test_hand_division(self, tmp_path):
+        # 3.0 and 6.0 over the 3 days the data covers are daily means of 1.0 and 2.0
+        recs = [(5, 0, 39, 3.0), (5, 86_400_000, 39, 0.0), (5, 2 * 86_400_000 + 600_000, 39, 6.0)]
+        corpus = ingest_dataset(write_cdr_dir(tmp_path / "cdr", recs), grid_side=3)
+        assert corpus.loads[0, :2].tolist() == [0.5, 1.0]
+        assert not corpus.loads[0, 2:].any()
 
-    def test_linear_in_activity(self):
+    def test_zero_days_rejected(self, tmp_path):
+        with pytest.raises(NormalizationError, match="day count must be >= 1, got 0"):
+            ingest_dataset(write_cdr_dir(tmp_path / "cdr", [(5, 0, 39, 1.0)]), grid_side=3, day_count=0)
+
+    def test_linear_in_activity(self, tmp_path):
         agg = {(1, 0): 2.0, (1, 5): 7.0, (2, 3): 1.0}
-        doubled = {k: 2 * v for k, v in agg.items()}
-        a = build_daily_profile(agg, 4)
-        b = build_daily_profile(doubled, 4)
-        for sq in a:
-            assert np.allclose(2 * a[sq], b[sq])
+
+        def ingest(name, scale):
+            recs = [(sq, slot * 600_000, 39, scale * v) for (sq, slot), v in agg.items()]
+            return ingest_dataset(write_cdr_dir(tmp_path / name, recs), grid_side=3, day_count=4)
+
+        assert np.allclose(ingest("a", 1.0).loads, ingest("b", 2.0).loads)
 
 
 class TestNormalize:
-    def test_ratio(self):
+    """ingest_dataset divides every daily mean by the corpus-wide maximum so the peak maps to 1."""
+
+    def test_ratio(self, tmp_path):
         raw = {1: np.full(144, 25.0), 2: np.full(144, 50.0)}
-        profiles = normalize_profiles(raw, grid_side=2)
+        profiles = ingest_dataset(write_raw_profiles(tmp_path / "cdr", raw), grid_side=2)
         assert profiles.loads[0, 0] == pytest.approx(0.5)
 
-    def test_peak_is_one(self):
+    def test_peak_is_one(self, tmp_path):
         raw = {1: np.zeros(144)}
         raw[1][7] = 50.0
-        profiles = normalize_profiles(raw, grid_side=2)
+        profiles = ingest_dataset(write_raw_profiles(tmp_path / "cdr", raw), grid_side=2)
         assert profiles.loads[0, 7] == 1.0
 
-    def test_hand_normalization(self):
+    def test_hand_normalization(self, tmp_path):
         raw = {1: np.zeros(144), 2: np.zeros(144)}
         raw[1][:2] = [2, 4]
         raw[2][:2] = [8, 0]
-        profiles = {p.cell_id: p for p in normalize_profiles(raw, grid_side=2)}
+        profiles = {p.cell_id: p for p in ingest_dataset(write_raw_profiles(tmp_path / "cdr", raw), grid_side=2)}
         assert profiles[1].slots[:2] == (0.25, 0.5)
         assert profiles[2].slots[:2] == (1.0, 0.0)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(NormalizationError):
-            normalize_profiles({1: np.zeros(144)}, grid_side=2)
+    def test_all_zero_rejected(self, tmp_path):
+        with pytest.raises(NormalizationError, match="^all-zero corpus: nothing to normalize$"):
+            ingest_dataset(write_cdr_dir(tmp_path / "cdr", [(1, 0, 39, 0.0)]), grid_side=2)
 
-    def test_argmax_scale_invariant(self):
+    def test_outside_grid_rejected(self, tmp_path):
+        with pytest.raises(NormalizationError, match="^square_id 5 outside a 2 x 2 grid$"):
+            ingest_dataset(write_cdr_dir(tmp_path / "cdr", [(1, 0, 39, 1.0), (5, 0, 39, 1.0)]), grid_side=2)
+
+    def test_argmax_scale_invariant(self, tmp_path):
         rng = np.random.default_rng(0)
         raw = {sq: rng.random(144) for sq in range(1, 5)}
         scaled = {sq: 7.3 * v for sq, v in raw.items()}
-        a = normalize_profiles(raw, grid_side=2)
-        b = normalize_profiles(scaled, grid_side=2)
-        flat_a = np.array([p.slots for p in a])
-        flat_b = np.array([p.slots for p in b])
-        assert flat_a.argmax() == flat_b.argmax()
+        a = ingest_dataset(write_raw_profiles(tmp_path / "a", raw), grid_side=2)
+        b = ingest_dataset(write_raw_profiles(tmp_path / "b", scaled), grid_side=2)
+        assert a.loads.argmax() == b.loads.argmax()
+
+
+class TestCompressedInput:
+    """A gzip-compressed `.txt.gz` or a `.tsv` copy of a CDR file ingests as the plain file does."""
+
+    @staticmethod
+    def plain_dir(tmp_path):
+        rng = np.random.default_rng(3)
+        return write_cdr_dir(tmp_path / "plain", *[
+            [(int(rng.integers(1, 10)), int(rng.integers(0, 400)) * 600_000, 39, float(rng.random()))
+             for _ in range(300)] for _ in range(2)])
+
+    @pytest.mark.parametrize("suffix", [".txt.gz", ".tsv"])
+    def test_copy_equals_plain(self, tmp_path, suffix):
+        plain = self.plain_dir(tmp_path)
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for path in plain.iterdir():
+            target = copy / (path.name.removesuffix(".txt") + suffix)
+            if suffix == ".txt.gz":
+                with gzip.open(target, "wb") as fh:
+                    fh.write(path.read_bytes())
+            else:
+                target.write_bytes(path.read_bytes())
+        assert ingest_dataset(copy, grid_side=3) == ingest_dataset(plain, grid_side=3)
+
+
+class TestBadCdrDirectory:
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        data = write_cdr_dir(tmp_path / "cdr", [(1, 0, 39, 1.0), (2, 0, 39, 2.0)])
+        (data / "part0.txt").write_bytes(b"1\t0\t39\t1.0\n2\t0\t39\t2.\xff\n")
+        with pytest.raises(CdrParseError, match=r"^line 2: bad sms_in value '2\.\\udcff' in .*part0\.txt$") as err:
+            ingest_dataset(data, grid_side=2)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: b"not gzip at all", "Not a gzipped file"),
+        (lambda data: data[:len(data) // 2], "Compressed file ended"),
+        (lambda data: data[:15] + bytes([data[15] ^ 0xff]) + data[16:], "Error -3 while decompressing"),
+        (lambda data: data[:-8] + bytes(4) + data[-4:], "CRC check failed"),
+    ])
+    def test_corrupt_gzip(self, tmp_path, damage, message):
+        data = tmp_path / "cdr"
+        data.mkdir()
+        lines = "".join(f"{sq}\t0\t39\t{sq}.5\n" for sq in range(1, 5)) * 50
+        (data / "day.txt.gz").write_bytes(damage(gzip.compress(lines.encode())))
+        with pytest.raises(CdrParseError, match=f"^cannot read {re.escape(str(data / 'day.txt.gz'))}: {message}"):
+            ingest_dataset(data, grid_side=2)
 
 
 class TestGridCentroid:

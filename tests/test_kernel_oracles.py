@@ -13,15 +13,19 @@ slot's pool is the reference for the pipeline's one ranking per SBS cell, and
 `Neighbor` tuples, for the array neighbour sets the pipeline builds instead.
 `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers as they
 were before both read one offload table: greedy built a SwitchVector, a load
-state and a total_power per trial switch-off. The kernels and solvers must
-return exactly what they return.
+state and a total_power per trial switch-off. `record_path_ingest` is the CDR
+ingest as it was before it summed lines straight into arrays: one record per
+line and dicts of totals and profiles. The kernels and solvers must return
+exactly what they return.
 """
 
 import bisect
+import gzip
 import importlib.util
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +56,7 @@ from vhetsim.estimate import (
 )
 from vhetsim.errors import InfeasibleTransitionError, InsufficientNeighborsError
 from vhetsim.experiment import _NearestCells, run_experiment
-from vhetsim.ingest import Corpus, SynthParams, grid_centroids, synth_traffic
+from vhetsim.ingest import DAY_MS, SLOT_MS, Corpus, SynthParams, grid_centroids, ingest_dataset, synth_traffic
 from vhetsim.power import (
     BaseStation,
     Network,
@@ -568,14 +572,19 @@ class TestKmeans:
         assert model.assignment.dtype.kind == "i" and not model.assignment.flags.writeable
 
 
-def bench_cache_loads(seed):
-    """The load factors of the bench's 100 x 100 profile cache at `seed`, as
-    bench/gen_inputs.py writes them (its CSV holds each float's repr)."""
+def bench_gen_inputs():
+    """bench/gen_inputs.py, the benchmark's input generator, as a module."""
     spec = importlib.util.spec_from_file_location(
         "gen_inputs", Path(__file__).resolve().parent.parent / "bench" / "gen_inputs.py")
     gen_inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen_inputs)
-    return np.clip(gen_inputs.raw_loads(np.random.default_rng(seed), 100)[0], 0.0, 1.0)
+    return gen_inputs
+
+
+def bench_cache_loads(seed):
+    """The load factors of the bench's 100 x 100 profile cache at `seed`, as
+    bench/gen_inputs.py writes them (its CSV holds each float's repr)."""
+    return np.clip(bench_gen_inputs().raw_loads(np.random.default_rng(seed), 100)[0], 0.0, 1.0)
 
 
 def scalar_sets():
@@ -844,6 +853,97 @@ class TestMlcFill:
         got = mlc_estimate(lam, active, layers=2, clusters=4, seed=5, features=corpus.loads)
         assert np.array_equal(got, masked_mlc_estimate(lam, active, 2, clusters=4, seed=5,
                                                        features=corpus.loads))
+
+
+@dataclass(frozen=True)
+class CdrRecord:
+    square_id: int
+    time_interval: int
+    country_code: int
+    sms_in: float = 0.0
+    sms_out: float = 0.0
+    call_in: float = 0.0
+    call_out: float = 0.0
+    internet: float = 0.0
+
+    @property
+    def activity(self) -> float:
+        return self.sms_in + self.sms_out + self.call_in + self.call_out + self.internet
+
+    @property
+    def slot_of_day(self) -> int:
+        return (self.time_interval % DAY_MS) // SLOT_MS
+
+
+def record_path_ingest(dataset_dir, grid_side, day_count=None):
+    """The CDR ingest with one record per line of valid input: each file's
+    (square, slot) totals in a dict, merged in file order into one dict,
+    divided by the day count into a square -> profile dict, then normalized
+    by the peak."""
+    totals, days = {}, set()
+    for path in sorted(p for p in Path(dataset_dir).iterdir() if p.suffix in {".txt", ".tsv", ".gz"}):
+        shard = {}
+        with (gzip.open if path.suffix == ".gz" else open)(path, "rt", encoding="utf-8") as fh:
+            for line in fh:
+                if line.strip():
+                    fields = line.rstrip("\n").split("\t")
+                    rec = CdrRecord(*map(int, fields[:3]), *(float(f) if f else 0.0 for f in fields[3:]))
+                    days.add(rec.time_interval // DAY_MS)
+                    key = (rec.square_id, rec.slot_of_day)
+                    shard[key] = shard.get(key, 0.0) + rec.activity
+        for key, value in shard.items():
+            totals[key] = totals.get(key, 0.0) + value
+    day_count = day_count if day_count is not None else len(days)
+    profiles = {}
+    for (square, slot), total in totals.items():
+        profiles.setdefault(square, np.zeros(144))[slot] = total / day_count
+    ids = np.array(sorted(profiles), dtype=np.int64)
+    raw = np.array([profiles[square] for square in ids.tolist()])
+    return Corpus(ids, grid_centroids(ids, grid_side), raw / float(raw.max()))
+
+
+def write_random_cdr_dir(path, seed):
+    """Three CDR files, one gzip-compressed, over 3 days and a 4 x 4 grid:
+    (square, slot) keys repeat within and across files and country codes,
+    lines hold 3 to 8 fields, some of them empty, and some lines are blank."""
+    rng = np.random.default_rng(seed)
+    path.mkdir()
+    for name in ("a.txt", "b.txt.gz", "c.tsv"):
+        lines = []
+        for _ in range(600):
+            if rng.random() < 0.05:
+                lines.append(" " * int(rng.integers(0, 3)))
+                continue
+            interval = 1_383_523_200_000 + int(rng.integers(0, 3)) * DAY_MS + int(rng.integers(0, 6)) * SLOT_MS
+            values = [repr(float(rng.random() * 10.0 ** rng.integers(-3, 4))) if rng.random() < 0.8 else ""
+                      for _ in range(int(rng.integers(0, 6)))]
+            lines.append("\t".join([str(rng.integers(1, 17)), str(interval), str(rng.choice([39, 33, 49]))]
+                                   + values))
+        text = "\n".join(lines) + "\n"
+        if name.endswith(".gz"):
+            (path / name).write_bytes(gzip.compress(text.encode()))
+        else:
+            (path / name).write_text(text, encoding="utf-8")
+    return path
+
+
+class TestIngestDataset:
+    """`ingest_dataset` against the record-and-dict path, and on the bench's CDR input."""
+
+    @pytest.mark.parametrize("day_count", [None, 1, 2, 7])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_record_path(self, tmp_path, seed, day_count):
+        data = write_random_cdr_dir(tmp_path / "cdr", seed)
+        assert ingest_dataset(data, 4, day_count=day_count) == record_path_ingest(data, 4, day_count)
+
+    def test_bench_cdr_input_is_totals_over_days_over_peak(self, tmp_path):
+        # the bench's ingest reference check, on a 6 x 6 grid over the generator's 3 days
+        make_up = bench_gen_inputs().write_cdr(1, 6, tmp_path)
+        daily = np.load(tmp_path / "totals.npy") / make_up["days"]
+        corpus = ingest_dataset(tmp_path, 6)
+        assert make_up["days"] == 3 and corpus.ids.tolist() == list(range(1, 37))
+        assert np.abs(corpus.loads - daily / daily.max()).max() <= 1e-12
+        assert corpus == record_path_ingest(tmp_path, 6)
 
 
 SBS_P = PowerParams(operational_w=56.0, amplifier_eff=2.6, transmit_w=6.3, sleep_w=6.0)
