@@ -11,8 +11,8 @@ import yaml
 from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import SimulationError
 from .experiment import load_corpus, run_experiment
-from .ingest import DEFAULT_CELL_SIZE_M, ingest_dataset, save_profile_cache
-from .reporting import emit_report, emit_sweep
+from .ingest import DEFAULT_CELL_SIZE_M, check_cache_dir, ingest_dataset, save_profile_cache
+from .reporting import emit_report, emit_sweep, make_output_dir
 
 
 def _parse_vary(arg: str) -> tuple[str, list]:
@@ -56,19 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _simulate(args) -> int:
     config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.estimator is not None:
-        overrides["estimator.method"] = args.estimator
-    if args.sbs_count is not None:
-        overrides["sbs_count"] = args.sbs_count
-    if args.out is not None:
-        overrides["output"] = args.out
+    flags = {"seed": args.seed, "estimator.method": args.estimator, "sbs_count": args.sbs_count, "output": args.out}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if overrides:
         config = apply_overrides(config, overrides)
-    report = run_experiment(config)
-    outdir = config.output or "out"
+    # a bad corpus leaves no directory behind; a bad directory stops the run before it starts
+    corpus = load_corpus(config)
+    outdir = make_output_dir(config.output or "out")
+    report = run_experiment(config, corpus)
     paths = emit_report(report, outdir)
     agg = report.summary()["aggregates"]
     print(f"wrote {paths['rows']} ({len(report.rows)} rows); "
@@ -82,6 +77,7 @@ def _sweep(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = apply_overrides(config, {"seed": args.seed})
+    make_output_dir(args.out)
     keys = [key for key, _ in args.vary]
     value_lists = [values for _, values in args.vary]
     results = []
@@ -104,6 +100,7 @@ def _sweep(args) -> int:
 
 
 def _ingest(args) -> int:
+    check_cache_dir(args.cache)
     profiles = ingest_dataset(args.dataset, args.grid_side, args.cell_size,
                               day_count=args.days)
     save_profile_cache(profiles, args.cache)

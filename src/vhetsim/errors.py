@@ -22,12 +22,8 @@ class ConfigError(SimulationError):
     """Invalid, missing or unknown experiment configuration key."""
 
 
-class InfeasibleTransitionError(SimulationError):
-    """A switch operation would push a sink load factor outside [0, 1]."""
-
-
 class InconsistentStateError(SimulationError):
-    """Switch vector and load state disagree (e.g. sleeping SBS with load > 0)."""
+    """A switching decision and a load state disagree in length."""
 
 
 class InsufficientNeighborsError(SimulationError):

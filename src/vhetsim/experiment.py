@@ -207,10 +207,8 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
                     if bit == 1:
                         last_known[j] = true_loads[j]
 
-                est_loads = list(true_loads)
-                for j, lam_hat in estimates.items():
-                    est_loads[j] = lam_hat
-                loads_est0 = NetworkLoadState(base["haps"], base["mbs"], tuple(est_loads))
+                est_loads = tuple(estimates.get(j, lam) for j, lam in enumerate(true_loads))
+                loads_est0 = NetworkLoadState(base["haps"], base["mbs"], est_loads)
                 sv_est, _, p_est = solve(net, loads_est0)
 
                 pairs = [(true_loads[j], estimates[j]) for j in sleepers]

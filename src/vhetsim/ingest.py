@@ -17,6 +17,7 @@ import io
 import math
 import os
 import struct
+import tempfile
 import threading
 import warnings
 import zipfile
@@ -309,6 +310,15 @@ def ingest_dataset(
     if ids[-1] > grid_side * grid_side:
         raise NormalizationError(f"square_id {ids[-1]} outside a {grid_side} x {grid_side} grid")
     return Corpus(ids, grid_centroids(ids, grid_side, cell_size_m), raw / peak)
+
+
+def check_cache_dir(path) -> None:
+    """SimulationError unless a file can be made beside the cache; the cache is left alone."""
+    try:
+        with tempfile.TemporaryFile(dir=Path(path).parent):
+            pass
+    except OSError as exc:
+        raise SimulationError(f"cannot write profile cache {path}: {exc.strerror}") from None
 
 
 def save_profile_cache(corpus: Corpus, path) -> None:

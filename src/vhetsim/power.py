@@ -1,9 +1,11 @@
 """EARTH-style power model for single stations and the whole network.
 
 An active station draws P_o + eta * load * P_t watts; a sleeping one draws
-P_s. The macro and the high-altitude platform are always active, so the
-network total is their active-branch power plus a per-SBS term switched by
-the on/off bit.
+P_s. The macro and the high-altitude platform are always active. A sleeping
+SBS moves its load, scaled by phi = C_sbs / C_sink and snapped to the load
+grid, onto one of them. `total_power` evaluates any switching decision on any
+loads that way; it does not bound the sink loads, so a sink above 1 draws
+the active-branch line. Keeping sinks at or below 1 is the solvers' job.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from enum import Enum
 from .errors import InconsistentStateError
 
 # Load factors are snapped to multiples of 2^-50 (~8.9e-16). On that grid the
-# offload add/subtract arithmetic in `switching` is exact in double precision,
-# which makes switch-off/switch-on true inverses bit for bit.
+# sink arithmetic (sums below 8 of moved loads) is exact in double precision:
+# the order of the moves does not matter, and subtracting them restores the
+# base load bit for bit.
 _LOAD_SCALE = 2.0 ** 50
 
 
@@ -92,23 +95,36 @@ class NetworkLoadState:
 
 
 def bs_power(params: PowerParams, load: float, active) -> float:
-    """Instantaneous draw of one station: active branch or sleep power."""
-    if not 0.0 <= load <= 1.0:
-        raise ValueError(f"load factor {load} outside [0, 1]")
-    if active:
-        return params.operational_w + params.amplifier_eff * load * params.transmit_w
-    if load != 0.0:
-        raise InconsistentStateError("sleeping station must carry zero load")
-    return params.sleep_w
+    """Instantaneous draw of one station: the active-branch line at `load`,
+    unbounded, or the sleep power, whose load has moved to a sink."""
+    return params.operational_w + params.amplifier_eff * load * params.transmit_w if active else params.sleep_w
 
 
-def total_power(net: Network, switch, loads: NetworkLoadState) -> float:
-    """Network total: always-active HAPS and MBS plus the switched SBS terms."""
-    if len(switch.delta) != len(net.sbs) or len(loads.lambda_sbs) != len(net.sbs):
-        raise InconsistentStateError("switch vector / load state length mismatch")
-    p = bs_power(net.haps.power, loads.lambda_haps, True)
-    p += bs_power(net.mbs.power, loads.lambda_mbs, True)
-    for station, bit, lam in zip(net.sbs, switch.delta, loads.lambda_sbs):
-        p += bs_power(station.power, lam, bit)
-    return p
+def moved_load(sbs: BaseStation, sink: BaseStation, lam: float) -> float:
+    """snap(C_sbs / C_sink * lam): the load an SBS at load factor `lam` adds to
+    `sink` when it sleeps. ValueError when that is more than one whole sink."""
+    return snap_load(sbs.capacity / sink.capacity * lam)
 
+
+def total_power(net: Network, asleep, to_haps, lambda_sbs, lambda_haps: float, lambda_mbs: float):
+    """Network power of a switching decision on the given loads: (power_w,
+    haps_load, mbs_load).
+
+    SBS j sleeps where asleep[j] and moves its `moved_load` onto the HAPS
+    where to_haps[j], else onto the MBS; to_haps is read for sleepers only.
+    The sink loads are not bounded. Power adds up HAPS, MBS, then SBS 0..s-1.
+    """
+    if not len(asleep) == len(to_haps) == len(lambda_sbs) == len(net.sbs):
+        raise InconsistentStateError("decision / load state length mismatch")
+    haps, mbs = net.haps, net.mbs
+    haps_load, mbs_load = lambda_haps, lambda_mbs
+    for station, off, to_h, lam in zip(net.sbs, asleep, to_haps, lambda_sbs):
+        if off and to_h:
+            haps_load += moved_load(station, haps, lam)
+        elif off:
+            mbs_load += moved_load(station, mbs, lam)
+    power = bs_power(haps.power, haps_load, True)
+    power += bs_power(mbs.power, mbs_load, True)
+    for station, off, lam in zip(net.sbs, asleep, lambda_sbs):
+        power += bs_power(station.power, lam, not off)
+    return power, haps_load, mbs_load

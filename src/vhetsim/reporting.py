@@ -18,7 +18,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _output_dir(outdir) -> Path:
+def make_output_dir(outdir) -> Path:
     """Create `outdir` and its parents as needed; SimulationError if it cannot be."""
     outdir = Path(outdir)
     try:
@@ -34,7 +34,7 @@ def emit_report(report: ExperimentReport, outdir) -> dict[str, Path]:
     UTF-8, LF line endings, '.' decimal separator; byte-identical for
     identical (config, seed) runs.
     """
-    outdir = _output_dir(outdir)
+    outdir = make_output_dir(outdir)
     rows_path = outdir / "rows.csv"
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -65,7 +65,7 @@ def emit_sweep(results, x_key: str, outdir) -> list[Path]:
     `results` is a list of (overrides, ExperimentReport). Rows within a series
     are ordered by the x value; columns are the aggregate means of the run.
     """
-    outdir = _output_dir(outdir)
+    outdir = make_output_dir(outdir)
     series: dict[tuple, list] = {}
     for overrides, report in results:
         x_value = overrides[x_key]

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from vhetsim.config import resolve_config
-from vhetsim.errors import InfeasibleTransitionError
 from vhetsim.estimate import (
     CellLoad,
     CellPool,
@@ -24,17 +23,11 @@ from vhetsim.estimate import (
 )
 from vhetsim.experiment import run_experiment
 from vhetsim.ingest import SynthParams, synth_traffic
-from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier, snap_load
+from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier, snap_load, total_power
 from vhetsim.reporting import emit_report
-from vhetsim.switching import (
-    HAPS,
-    MBS,
-    apply_switch_off,
-    apply_switch_on,
-    optimize_exhaustive,
-    optimize_greedy,
-    relative_capacity,
-)
+from vhetsim.switching import HAPS, MBS, optimize_exhaustive, optimize_greedy
+
+from switch_helpers import evaluate
 
 SBS_P = PowerParams(56.0, 2.6, 6.3, 6.0)
 MBS_P = PowerParams(130.0, 4.7, 20.0, 75.0)
@@ -65,7 +58,7 @@ def brute_force_reference(net, loads):
     lowest power, most stations on, first differing bit on, alphabetical sinks.
 
     Each move adds snap_load(phi * lambda) to its sink, which must stay at or
-    below 1.0, the feasibility test of `apply_switch_off`.
+    below 1.0.
     """
     s = len(net.sbs)
     best, best_key = None, None
@@ -263,37 +256,39 @@ def test_criterion_06_clustering_power_gap_beats_distance_baseline():
 
 
 def test_criterion_07_conservation_feasibility_roundtrip():
+    # conservation and the round trip on total_power's unbounded sink loads;
+    # feasibility of the decision greedy returns for every draw's loads, and
+    # the exhaustive solver's for every tenth (it takes eight times as long)
     rng = random.Random(123)
     net = make_net(4)
     violations = 0
-    for _ in range(100_000):
+    for draw in range(100_000):
         loads = NetworkLoadState(rng.random() * 0.4, rng.random() * 0.4,
                                  tuple(rng.random() for _ in range(4)))
-        traffic_before = carried_traffic(loads, net)
-        state = loads
-        applied = []
+        asleep, to_haps = [False] * 4, [False] * 4
+        moves = []  # (to the HAPS, phi * lambda_j) of each sleeper
         for j in rng.sample(range(4), rng.randint(1, 3)):
-            target = HAPS if rng.random() < 0.5 else MBS
-            sink = net.haps if target == HAPS else net.mbs
-            phi = relative_capacity(net.sbs[j], sink)
-            try:
-                state = apply_switch_off(state, j, target, phi)
-            except InfeasibleTransitionError:
-                continue
-            applied.append((j, loads.lambda_sbs[j], target, phi))
-        if state.lambda_haps > 1.0 or state.lambda_mbs > 1.0:
+            asleep[j], to_haps[j] = True, rng.random() < 0.5
+            sink = net.haps if to_haps[j] else net.mbs
+            moves.append((to_haps[j], net.sbs[j].capacity / sink.capacity * loads.lambda_sbs[j]))
+        _, haps_load, mbs_load = total_power(net, asleep, to_haps, loads.lambda_sbs,
+                                             loads.lambda_haps, loads.lambda_mbs)
+        for haps, base, sink_load in ((True, loads.lambda_haps, haps_load), (False, loads.lambda_mbs, mbs_load)):
+            if abs(sink_load - base - math.fsum(m for to_h, m in moves if to_h == haps)) > 1e-9:
+                violations += 1
+        for to_h, phi_lam in reversed(moves):
+            if to_h:
+                haps_load -= snap_load(phi_lam)
+            else:
+                mbs_load -= snap_load(phi_lam)
+        if (haps_load, mbs_load) != (loads.lambda_haps, loads.lambda_mbs):  # bitwise restoration
             violations += 1
-            continue
-        after = carried_traffic(state, net)
-        if abs(after - traffic_before) > 1e-9 * max(traffic_before, 1.0):
-            violations += 1
-            continue
-        for j, lam_j, target, phi in reversed(applied):
-            state = apply_switch_on(state, j, lam_j, target, phi)
-        if state != loads:  # bitwise restoration
-            violations += 1
+        for solve in (optimize_greedy, optimize_exhaustive) if draw % 10 == 0 else (optimize_greedy,):
+            _, haps_load, mbs_load = evaluate(net, solve(net, loads)[0], loads)
+            if haps_load > 1.0 or mbs_load > 1.0:
+                violations += 1
     verdict(7, violations == 0,
-            f"10^5 off/on sequences: {violations} feasibility/conservation/"
+            f"10^5 decisions and greedy solves, 10^4 exhaustive: {violations} feasibility/conservation/"
             "round-trip violations")
 
 

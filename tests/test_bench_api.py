@@ -229,3 +229,39 @@ def test_neighbor_sets_expose_what_the_checks_read(monkeypatch, method, returned
     for args, kwargs, _ in calls["estimate_weighted"]:
         assert len(read_as_the_checks_do(bind("estimate_weighted", args, kwargs)["neighbors"])) == 5
 
+
+
+@pytest.mark.parametrize("solver", ["optimize_greedy", "optimize_exhaustive"])
+def test_solvers_take_and_return_what_the_bench_reads(solver):
+    # bench/ladders.py builds the network and loads as below; bench/reference.py's
+    # problem_from_call reads the loads' three fields and each station's capacity
+    # and power coefficients; bench/checks.py reads result[2] as the power in watts
+    import numpy as np
+
+    from vhetsim.config import DEFAULT_BASE_LOAD, DEFAULT_CAPACITY, DEFAULT_POWER
+    from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier
+    from vhetsim.switching import HAPS, MBS
+
+    from switch_helpers import evaluate
+
+    def station(name, tier, capacity, power):
+        return BaseStation(name, tier, (0.0, 0.0), capacity, PowerParams(**power))
+
+    solve = getattr(importlib.import_module("vhetsim.switching"), solver)
+    extra = {"limit": 8} if solver == "optimize_exhaustive" else {}
+    net = Network(station("haps", Tier.HAPS, DEFAULT_CAPACITY["haps"], DEFAULT_POWER["haps"]),
+                  station("mbs", Tier.MBS, DEFAULT_CAPACITY["mbs"], DEFAULT_POWER["mbs"]),
+                  tuple(station(f"sbs-{j}", Tier.SBS, DEFAULT_CAPACITY["sbs"], DEFAULT_POWER["sbs"])
+                        for j in range(6)))
+    rng = np.random.default_rng(3)
+    for sinks in ((HAPS, MBS), (HAPS,)):
+        for _ in range(20):
+            loads = NetworkLoadState(DEFAULT_BASE_LOAD["haps"], DEFAULT_BASE_LOAD["mbs"],
+                                     tuple(rng.uniform(0.0, 0.8, size=6).tolist()))
+            assert isinstance(loads.lambda_haps, float) and isinstance(loads.lambda_mbs, float)
+            assert len(loads.lambda_sbs) == len(net.sbs) and all(isinstance(v, float) for v in loads.lambda_sbs)
+            assert all(isinstance(b.capacity, float) and isinstance(b.power.sleep_w, float) for b in net.sbs)
+            result = solve(net, loads, sinks=sinks, **extra)
+            assert isinstance(result, tuple) and len(result) == 3
+            assert isinstance(result[2], float)
+            assert result[2] == evaluate(net, result[0], loads)[0]

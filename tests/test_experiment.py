@@ -370,16 +370,37 @@ class TestCli:
         assert main(["ingest", "--dataset", str(data), "--cache", str(cache), "--grid-side", "2"]) == 1
         assert capsys.readouterr().err == f"error: cannot write profile cache {cache}: No such file or directory\n"
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_out_below_a_file_clean_exit(self, tmp_path, capsys, command):
+    def test_ingest_leaves_an_existing_cache_alone(self, tmp_path, capsys):
+        # the cache directory is checked before the parse; a failed parse keeps the old cache
+        cache = tmp_path / "c.csv"
+        cache.write_text("kept\n", encoding="utf-8")
+        assert main(["ingest", "--dataset", str(tmp_path / "absent"), "--cache", str(cache)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cache.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "ingest"])
+    def test_out_below_a_file_clean_exit(self, tmp_path, capsys, monkeypatch, command):
+        # the path is checked before any run or CDR parse starts
+        import vhetsim.cli
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("called before the output path was checked")
+
+        monkeypatch.setattr(vhetsim.cli, "run_experiment", not_called)
+        monkeypatch.setattr(vhetsim.cli, "ingest_dataset", not_called)
         (tmp_path / "taken").write_text("", encoding="utf-8")
         out = tmp_path / "taken" / "out"
-        argv = [command, "--config", str(self.write_config(tmp_path)), "--out", str(out)]
+        if command == "ingest":
+            argv = ["ingest", "--dataset", str(tmp_path), "--cache", str(out / "c.csv"), "--grid-side", "2"]
+            message = f"cannot write profile cache {out / 'c.csv'}: Not a directory"
+        else:
+            argv = [command, "--config", str(self.write_config(tmp_path)), "--out", str(out)]
+            message = f"cannot create output directory {out}: Not a directory"
         if command == "sweep":
             argv += ["--vary", "estimator.neighbor_count=3"]
-            out = out / "run_estimator-neighbor_count=3"
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: cannot create output directory {out}: Not a directory\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sweep_loads_corpus_once(self, tmp_path, monkeypatch):
         import vhetsim.cli

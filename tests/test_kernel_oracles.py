@@ -13,10 +13,12 @@ slot's pool is the reference for the pipeline's one ranking per SBS cell, and
 `Neighbor` tuples, for the array neighbour sets the pipeline builds instead.
 `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers as they
 were before both read one offload table: greedy built a SwitchVector, a load
-state and a total_power per trial switch-off. `record_path_ingest` is the CDR
-ingest as it was before it summed lines straight into arrays: one record per
-line and dicts of totals and profiles. The kernels and solvers must return
-exactly what they return.
+state and its power per trial switch-off. Both move load through the
+test-side `switch_helpers.apply_switch_off` and price a state with
+`switch_helpers.state_power`, not through `power.total_power`.
+`record_path_ingest` is the CDR ingest as it was before it summed lines
+straight into arrays: one record per line and dicts of totals and profiles.
+The kernels and solvers must return exactly what they return.
 """
 
 import bisect
@@ -54,7 +56,7 @@ from vhetsim.estimate import (
     rank_neighbors,
     select_random,
 )
-from vhetsim.errors import InfeasibleTransitionError, InsufficientNeighborsError
+from vhetsim.errors import InsufficientNeighborsError
 from vhetsim.experiment import _NearestCells, run_experiment
 from vhetsim.ingest import DAY_MS, SLOT_MS, Corpus, SynthParams, grid_centroids, ingest_dataset, synth_traffic
 from vhetsim.power import (
@@ -65,18 +67,17 @@ from vhetsim.power import (
     Tier,
     bs_power,
     snap_load,
-    total_power,
 )
 from vhetsim.switching import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     HAPS,
     MBS,
     SwitchVector,
-    apply_switch_off,
     optimize_exhaustive,
     optimize_greedy,
-    relative_capacity,
 )
+
+from switch_helpers import InfeasibleTransition, apply_switch_off, evaluate, state_power
 
 
 def sorted_rank_neighbors(target, cells, n_neighbors):
@@ -202,9 +203,9 @@ def _sleep_set_state(net: Network, loads: NetworkLoadState, sleepers, targets):
     state = loads
     try:
         for j, target in zip(sleepers, targets):
-            phi = relative_capacity(net.sbs[j], net.haps if target == HAPS else net.mbs)
-            state = apply_switch_off(state, j, target, phi)
-    except InfeasibleTransitionError:
+            sink = net.haps if target == HAPS else net.mbs
+            state = apply_switch_off(state, j, target, net.sbs[j].capacity / sink.capacity)
+    except InfeasibleTransition:
         return None
     return state
 
@@ -239,11 +240,11 @@ def inline_table_exhaustive(
     for j, station in enumerate(net.sbs):
         for target in sink_order:
             sink_bs = net.haps if target == HAPS else net.mbs
-            raw = relative_capacity(station, sink_bs) * loads.lambda_sbs[j]
+            raw = station.capacity / sink_bs.capacity * loads.lambda_sbs[j]
             moved[j, target] = snap_load(raw) if raw <= 1.0 else None
     active_power = [bs_power(b.power, lam, True)
                     for b, lam in zip(net.sbs, loads.lambda_sbs)]
-    all_on_power = total_power(net, SwitchVector.all_on(s), loads)
+    all_on_power = state_power(net, SwitchVector.all_on(s), loads)
     eta_pt = {HAPS: net.haps.power.amplifier_eff * net.haps.power.transmit_w,
               MBS: net.mbs.power.amplifier_eff * net.mbs.power.transmit_w}
 
@@ -280,7 +281,7 @@ def inline_table_exhaustive(
     sv = SwitchVector(delta, assignment)
     state = _sleep_set_state(net, loads, [j for j, _ in assignment],
                              [t for _, t in assignment])
-    return sv, state, total_power(net, sv, state)
+    return sv, state, state_power(net, sv, state)
 
 
 def trial_state_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, ...] = (HAPS, MBS)):
@@ -293,19 +294,19 @@ def trial_state_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, 
     delta = [1] * s
     targets: dict[int, str] = {}
     state = loads
-    current = total_power(net, SwitchVector.all_on(s), state)
+    current = state_power(net, SwitchVector.all_on(s), state)
     order = sorted(range(s), key=lambda j: (loads.lambda_sbs[j], j))
     for j in order:
         best_choice = None
         for target in sorted(sinks):
-            phi = relative_capacity(net.sbs[j], net.haps if target == HAPS else net.mbs)
+            sink = net.haps if target == HAPS else net.mbs
             try:
-                candidate = apply_switch_off(state, j, target, phi)
-            except InfeasibleTransitionError:
+                candidate = apply_switch_off(state, j, target, net.sbs[j].capacity / sink.capacity)
+            except InfeasibleTransition:
                 continue
             trial_delta = tuple(0 if k == j else delta[k] for k in range(s))
             trial_targets = tuple({**targets, j: target}.items())
-            power = total_power(net, SwitchVector(trial_delta, trial_targets), candidate)
+            power = state_power(net, SwitchVector(trial_delta, trial_targets), candidate)
             if best_choice is None or power < best_choice[0]:
                 best_choice = (power, target, candidate)
         if best_choice is not None and best_choice[0] < current:
@@ -989,3 +990,13 @@ class TestSolvers:
         for net, loads, sinks in solver_instances(6, 10_000, 7):
             assert_same_solution(optimize_exhaustive(net, loads, sinks),
                                  inline_table_exhaustive(net, loads, sinks))
+
+    def test_solvers_keep_sinks_at_or_below_one(self):
+        # the returned state and power are total_power's for the returned decision
+        for solve, instances in ((optimize_greedy, solver_instances(7, 2_000, 22)),
+                                 (optimize_exhaustive, solver_instances(8, 1_000, 7))):
+            for net, loads, sinks in instances:
+                sv, state, power = solve(net, loads, sinks)
+                got = evaluate(net, sv, loads)
+                assert got == (power, state.lambda_haps, state.lambda_mbs)
+                assert got[1] <= 1.0 and got[2] <= 1.0

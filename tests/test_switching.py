@@ -3,18 +3,11 @@ import random
 
 import pytest
 
-from vhetsim.errors import InconsistentStateError, InfeasibleTransitionError
-from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier, total_power
-from vhetsim.switching import (
-    HAPS,
-    MBS,
-    SwitchVector,
-    apply_switch_off,
-    apply_switch_on,
-    optimize_exhaustive,
-    optimize_greedy,
-    relative_capacity,
-)
+from vhetsim.errors import InconsistentStateError
+from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier, moved_load, snap_load, total_power
+from vhetsim.switching import HAPS, MBS, SwitchVector, optimize_exhaustive, optimize_greedy
+
+from switch_helpers import InfeasibleTransition, apply_switch_off, apply_switch_on, evaluate
 
 SBS_P = PowerParams(operational_w=56.0, amplifier_eff=2.6, transmit_w=6.3, sleep_w=6.0)
 MBS_P = PowerParams(operational_w=130.0, amplifier_eff=4.7, transmit_w=20.0, sleep_w=75.0)
@@ -60,16 +53,22 @@ class TestSwitchVector:
 
 
 class TestRelativeCapacity:
+    """moved_load scales an SBS's load by phi = C_sbs / C_sink and snaps it."""
+
     def test_equal(self):
         net = make_net(1, c_sbs=50.0)
-        assert relative_capacity(net.sbs[0], net.haps) == 1.0
+        assert moved_load(net.sbs[0], net.haps, 0.3) == snap_load(0.3)
 
     def test_hand_ratio(self):
         net = make_net(1, c_sbs=10.0, c_haps=200.0)
-        assert relative_capacity(net.sbs[0], net.haps) == 0.05
+        assert moved_load(net.sbs[0], net.haps, 1.0) == snap_load(0.05)
+        with pytest.raises(ValueError):
+            moved_load(net.haps, net.sbs[0], 0.1)  # two whole sinks
 
 
 class TestApplySwitchOff:
+    """The test-side reference mover that the solver oracles walk states with."""
+
     def test_zero_load_noop(self):
         loads = NetworkLoadState(0.3, 0.2, (0.0,))
         out = apply_switch_off(loads, 0, HAPS, 0.05)
@@ -83,7 +82,7 @@ class TestApplySwitchOff:
 
     def test_sink_overflow_rejected(self):
         loads = NetworkLoadState(0.99, 0.0, (0.4,))
-        with pytest.raises(InfeasibleTransitionError):
+        with pytest.raises(InfeasibleTransition):
             apply_switch_off(loads, 0, HAPS, 0.05)
 
     def test_mbs_sink(self):
@@ -118,7 +117,7 @@ class TestApplySwitchOn:
             loads = NetworkLoadState(lam_h, 0.0, (lam_j,))
             try:
                 off = apply_switch_off(loads, 0, HAPS, phi)
-            except InfeasibleTransitionError:
+            except InfeasibleTransition:
                 continue
             back = apply_switch_on(off, 0, loads.lambda_sbs[0], HAPS, phi)
             assert back == loads  # bitwise, not approx
@@ -126,24 +125,22 @@ class TestApplySwitchOn:
 
 class TestConservation:
     def test_carried_traffic_constant(self):
+        # total_power's sink loads carry the sleepers' traffic, above 1 or not
         rng = random.Random(7)
         net = make_net(6)
         for _ in range(300):
             loads = NetworkLoadState(rng.random() * 0.3, rng.random() * 0.3,
                                      tuple(rng.random() for _ in range(6)))
-            before = carried_traffic(loads, net)
-            state = loads
+            asleep, to_haps = [False] * 6, [False] * 6
             for j in rng.sample(range(6), 3):
-                target = rng.choice([HAPS, MBS])
-                sink = net.haps if target == HAPS else net.mbs
-                try:
-                    state = apply_switch_off(state, j, target,
-                                             relative_capacity(net.sbs[j], sink))
-                except InfeasibleTransitionError:
-                    continue
-            after = carried_traffic(state, net)
+                asleep[j], to_haps[j] = True, rng.choice([True, False])
+            _, haps_load, mbs_load = total_power(net, asleep, to_haps, loads.lambda_sbs,
+                                                 loads.lambda_haps, loads.lambda_mbs)
+            sbs = tuple(0.0 if off else lam for off, lam in zip(asleep, loads.lambda_sbs))
+            before = carried_traffic(loads, net)
+            after = carried_traffic(NetworkLoadState(0.0, 0.0, sbs), net) \
+                + haps_load * net.haps.capacity + mbs_load * net.mbs.capacity
             assert math.isclose(before, after, rel_tol=1e-9)
-            assert state.lambda_haps <= 1.0 and state.lambda_mbs <= 1.0
 
 
 class TestOptimizeExhaustive:
@@ -190,7 +187,7 @@ class TestOptimizeGreedy:
         loads = NetworkLoadState(0.0, 0.0, (0.0,) * 4)
         sv, state, power = optimize_greedy(net, loads)
         assert sv.delta == (0, 0, 0, 0)
-        assert power == total_power(net, sv, state)
+        assert (power, state.lambda_haps, state.lambda_mbs) == evaluate(net, sv, loads)
 
     def test_full_sinks_all_on(self):
         net = make_net(3)
@@ -206,7 +203,7 @@ class TestOptimizeGreedy:
             loads = NetworkLoadState(rng.random() * 0.3, rng.random() * 0.3,
                                      tuple(rng.random() for _ in range(n)))
             _, _, power = optimize_greedy(net, loads)
-            assert power <= total_power(net, SwitchVector.all_on(n), loads) + 1e-9
+            assert power <= evaluate(net, SwitchVector.all_on(n), loads)[0] + 1e-9
 
     def test_exhaustive_never_worse_than_greedy(self):
         rng = random.Random(13)
