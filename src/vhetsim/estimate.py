@@ -114,10 +114,6 @@ class NeighborSet:
     def neighbors(self) -> tuple[Neighbor, ...]:
         return tuple(map(Neighbor, self.ids.tolist(), self.distances.tolist(), self.loads.tolist()))
 
-    @property
-    def d_max(self) -> float:
-        return float(self.distances.max())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NeighborSet):
             return NotImplemented
@@ -265,7 +261,7 @@ class _PointSet:
     every finished fit by (g, seed). The points must not change meanwhile.
     """
 
-    def __init__(self, points, order: np.ndarray | None = None):
+    def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
         self.pts = pts[:, 0] if pts.shape[1] == 1 else pts
         self.fits: dict[tuple[int, int], ClusterModel] = {}
@@ -273,7 +269,7 @@ class _PointSet:
         if self.pts.ndim == 1:
             eps = sys.float_info.epsilon
             # equal points always share a cluster, so the sort need not be stable
-            order = np.argsort(self.pts) if order is None else order
+            order = np.argsort(self.pts)
             xs = self.pts[order]
             # bound on a prefix-sum segment mean's error times its count; any
             # summation order of the same points errs by less
@@ -283,19 +279,6 @@ class _PointSet:
             reach = 8.0 * eps * float(np.abs(xs).max(initial=0.0))
             # the loop bisects a list, which is faster to probe than an array('d')
             self.prefix = (order, xs.tolist(), _prefix_sums(xs), _prefix_sums(xs * xs), sum_err, reach)
-
-    def merged(self, points, changed: np.ndarray) -> _PointSet:
-        """The point set of the scalar `points`, which equal this set's points
-        except where the mask `changed` is set, sorted from this set's sort:
-        the changed points leave it and are inserted again at their new values.
-        The sorted values, and so the prefix sums and every fit, are those of a
-        fresh sort; only the order among equal points may differ."""
-        pts = np.asarray(points, dtype=float)
-        order = self.prefix[0]
-        kept = order[~changed[order]]
-        moved = np.flatnonzero(changed)
-        moved = moved[np.argsort(pts[moved])]
-        return _PointSet(points, np.insert(kept, np.searchsorted(pts[kept], pts[moved]), moved))
 
     def seeds(self, g: int, seed: int) -> np.ndarray:
         """The first g k-means++ seeds of `seed`, as a new array: each drawn with
@@ -594,7 +577,7 @@ def mlc_estimate(
     first = 0 if features is None else layers - 1
     for layer in range(first, layers):
         if layer > first:
-            context = context.merged(lam, ~active)     # the layer before changed the sleepers
+            context = _PointSet(lam)     # the layer before changed the sleepers
         labels = kmeans_cluster(points, g, seed + layer, context=context).assignment
         on = labels[active]
         means = np.array([members.mean() if len(members) else global_mean

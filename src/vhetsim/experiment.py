@@ -196,20 +196,20 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
                 true_loads = corpus.loads[sbs_rows, slot].tolist()
                 base = config.base_load
                 loads0 = NetworkLoadState(base["haps"], base["mbs"], tuple(true_loads))
-                sv_true, _, p_true = solve(net, loads0)
-                sleepers = [j for j, bit in enumerate(sv_true.delta) if bit == 0]
+                decision, _, p_true = solve(net, loads0)
+                sleepers = [j for j, off in enumerate(decision.asleep) if off]
 
                 estimates = _estimate_sleepers(
                     config, corpus, sbs_rows, sleepers, true_loads,
                     slot, iteration, last_known, nearest,
                 )
-                for j, bit in enumerate(sv_true.delta):
-                    if bit == 1:
+                for j, off in enumerate(decision.asleep):
+                    if not off:
                         last_known[j] = true_loads[j]
 
                 est_loads = tuple(estimates.get(j, lam) for j, lam in enumerate(true_loads))
                 loads_est0 = NetworkLoadState(base["haps"], base["mbs"], est_loads)
-                sv_est, _, p_est = solve(net, loads_est0)
+                decision_est, _, p_est = solve(net, loads_est0)
 
                 pairs = [(true_loads[j], estimates[j]) for j in sleepers]
                 eps, skipped = mean_estimation_error(pairs) if pairs else (0.0, 0)
@@ -219,7 +219,7 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
                     estimation_error=eps,
                     power_true=p_true,
                     power_est=p_est,
-                    decision_change_rate=decision_change_rate(sv_true.delta, sv_est.delta),
+                    decision_change_rate=decision_change_rate(decision.delta, decision_est.delta),
                     p_err_off_on=math.nan if p_off_on is None else p_off_on,
                     p_err_on_off=math.nan if p_on_off is None else p_on_off,
                     skipped_zero_load=skipped,

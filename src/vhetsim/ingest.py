@@ -18,7 +18,6 @@ import math
 import os
 import struct
 import tempfile
-import threading
 import warnings
 import zipfile
 import zlib
@@ -335,10 +334,9 @@ def save_profile_cache(corpus: Corpus, path) -> None:
 
 # The sidecar `<cache>.npz` holds the parsed arrays and, as its uncompressed
 # member `csv`, a copy of the CSV bytes they were parsed from. A load compares
-# the CSV with that copy in chunks of `_CHUNK` bytes, two buffers a thread.
+# the CSV with that copy in chunks of `_CHUNK` bytes.
 _CHUNK = 1 << 19
 _COPY = "csv"
-_COMPARE_WORKERS = 1   # helper threads; the calling thread compares beside them
 
 
 class _TeeReader(io.RawIOBase):
@@ -361,39 +359,14 @@ class _TeeReader(io.RawIOBase):
         return count
 
 
-def _leaf_counter(count: int):
-    """A thread-safe callable that gives each index 0..count-1 once, in order, then None."""
-    order, lock = iter(range(count)), threading.Lock()
-
-    def take() -> int | None:
-        with lock:
-            return next(order, None)
-
-    return take
-
-
-def _fill(fd: int, buffer: bytearray, offset: int) -> bool:
-    """Read the file's bytes from `offset` into all of `buffer`; False if the file ends first."""
-    view, filled = memoryview(buffer), 0
-    while filled < len(view):
-        count = os.preadv(fd, [view[filled:]], offset + filled)
-        if count == 0:
-            return False
-        filled += count
-    return True
-
-
-def _chunks_equal(csv_fd: int, copy_fd: int, start: int, size: int, take) -> bool:
-    """Whether each chunk of the CSV of `size` bytes that `take` gives, until it
-    gives None, equals the same chunk of the copy that starts at `start` in the
-    sidecar. Stops at the first chunk that differs."""
+def _same_bytes(csv, copy, size: int) -> bool:
+    """Whether the next `size` bytes of the binary files `csv` and `copy` are
+    equal. Reads both in order; stops at the first chunk that differs."""
     ours, theirs = bytearray(min(_CHUNK, size)), bytearray(min(_CHUNK, size))
-    while (chunk := take()) is not None:
-        at = chunk * _CHUNK
-        # only the last chunk is short, and `take` gives it last
-        del ours[size - at:], theirs[size - at:]
+    for at in range(0, size, _CHUNK):
+        del ours[size - at:], theirs[size - at:]     # only the last chunk is short
         # bytearrays compare with memcmp, memoryviews byte by byte
-        if not (_fill(csv_fd, ours, at) and _fill(copy_fd, theirs, start + at) and ours == theirs):
+        if csv.readinto(ours) != len(ours) or copy.readinto(theirs) != len(theirs) or ours != theirs:
             return False
     return True
 
@@ -448,10 +421,9 @@ def _parse_profile_cache(path, copy=None) -> tuple[Corpus, bool]:
 def _read_sidecar(path) -> Corpus | None:
     """The corpus stored beside the cache, or None when the sidecar is missing,
     unreadable or damaged, fails the corpus checks, or holds a copy that is not
-    byte for byte the CSV's current content. A helper thread compares chunks
-    of the CSV and the copy while this thread reads the arrays, which the zip
-    CRCs check, and checks the corpus; then this thread takes chunks from the
-    same counter until none is left."""
+    byte for byte the CSV's current content. A helper thread compares the CSV
+    with the copy while this thread reads the arrays, which the zip CRCs
+    check, and checks the corpus."""
     try:
         with contextlib.ExitStack() as stack:
             # opened here, not by np.load, which leaves a file it fails to read open
@@ -460,20 +432,19 @@ def _read_sidecar(path) -> Corpus | None:
             if not isinstance(data, np.lib.npyio.NpzFile):
                 return None
             stack.enter_context(data)
-            copy = data.zip.getinfo(_COPY)     # a KeyError for an older sidecar: stale
-            fd = os.open(path, os.O_RDONLY)
-            stack.callback(os.close, fd)        # after the helpers are joined
-            size = os.fstat(fd).st_size
-            start = _copy_start(sidecar.fileno(), copy, size)
-            if start is None:
+            member = data.zip.getinfo(_COPY)     # a KeyError for an older sidecar: stale
+            csv = stack.enter_context(open(path, "rb"))
+            size = os.fstat(csv.fileno()).st_size
+            start = _copy_start(sidecar.fileno(), member, size)
+            # the helper's own handle, on the file the arrays come from
+            copy = stack.enter_context(open(_sidecar_path(path), "rb"))
+            if start is None or not os.path.samestat(os.fstat(sidecar.fileno()), os.fstat(copy.fileno())):
                 return None
-            take = _leaf_counter(-(-size // _CHUNK))
-            pool = stack.enter_context(ThreadPoolExecutor(_COMPARE_WORKERS))
-            helpers = [pool.submit(_chunks_equal, fd, sidecar.fileno(), start, size, take)
-                       for _ in range(_COMPARE_WORKERS)]
+            copy.seek(start)
+            # entered last, so the helper is joined before the files close
+            equal = stack.enter_context(ThreadPoolExecutor(1)).submit(_same_bytes, csv, copy, size)
             corpus = Corpus(data["ids"], data["xy"], data["loads"])
-            equal = _chunks_equal(fd, sidecar.fileno(), start, size, take)
-            return corpus if all([helper.result() for helper in helpers]) and equal else None
+            return corpus if equal.result() else None
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, NormalizationError):
         return None
 

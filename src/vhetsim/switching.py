@@ -1,17 +1,19 @@
-"""Switch-state representation and the P1 solvers.
+"""The switching decision and the P1 solvers.
 
 A decision sleeps some SBSs and sends each sleeper's load, scaled by the
-relative capacity phi = C_sbs / C_sink, to the MBS or the HAPS;
-`power.total_power` evaluates it. Two solvers minimize that power over the
-decisions that keep both sinks at or below 1: an exhaustive enumerator
-(oracle, small networks) and a greedy pass that sleeps stations in ascending
-load order.
+relative capacity phi = C_sbs / C_sink, to the MBS or the HAPS. It is held in
+`power.total_power`'s own terms, so `total_power(net, *decision, ...)` prices
+it on any loads. Two solvers minimize that power over the decisions that keep
+both sinks at or below 1: an exhaustive enumerator (oracle, small networks)
+and a greedy pass that sleeps stations in ascending load order. Each returns
+(decision, (haps_load, mbs_load), power_w), all three from one `total_power`
+call on the loads it was given.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .power import Network, NetworkLoadState, bs_power, moved_load, total_power
 
@@ -20,26 +22,18 @@ HAPS = "HAPS"
 DEFAULT_EXHAUSTIVE_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class SwitchVector:
-    """On/off bits per SBS plus the offload sink chosen for each sleeper."""
+class Decision(NamedTuple):
+    """Which SBSs sleep, and which of the sleepers move their load to the HAPS
+    rather than the MBS. to_haps[j] is False for an SBS that is on, so equal
+    decisions compare equal."""
 
-    delta: tuple[int, ...]
-    offload_target: tuple[tuple[int, str], ...] = field(default=())
+    asleep: tuple[bool, ...]
+    to_haps: tuple[bool, ...]
 
-    def __post_init__(self):
-        if not set(self.delta) <= {0, 1}:
-            raise ValueError("delta bits must be 0 or 1")
-        targets = dict(self.offload_target)
-        if targets.keys() != {j for j, bit in enumerate(self.delta) if bit == 0}:
-            raise ValueError("offload targets must be given exactly for sleeping SBSs")
-        if not set(targets.values()) <= {MBS, HAPS}:
-            raise ValueError(f"offload target must be {MBS} or {HAPS}")
-        object.__setattr__(self, "offload_target", tuple(sorted(targets.items())))
-
-    @classmethod
-    def all_on(cls, s: int) -> "SwitchVector":
-        return cls(delta=(1,) * s)
+    @property
+    def delta(self) -> tuple[int, ...]:
+        """The on/off bits: 1 for an SBS that is on, 0 for a sleeper."""
+        return tuple(int(not off) for off in self.asleep)
 
 
 def _offload_table(net: Network, loads: NetworkLoadState, sinks) -> list[tuple]:
@@ -69,13 +63,11 @@ def _offload_table(net: Network, loads: NetworkLoadState, sinks) -> list[tuple]:
 
 
 def _solution(net: Network, loads: NetworkLoadState, chosen: dict):
-    """(SwitchVector, NetworkLoadState, power) of sleeping SBS j on sink chosen[j]."""
+    """(Decision, (haps_load, mbs_load), power) of sleeping SBS j on sink chosen[j]."""
     targets = [chosen.get(j) for j in range(len(net.sbs))]  # a sink tag marks a sleeper, None an SBS on
-    power, haps_load, mbs_load = total_power(net, targets, [t == HAPS for t in targets], loads.lambda_sbs,
-                                             loads.lambda_haps, loads.lambda_mbs)
-    return (SwitchVector(tuple(int(t is None) for t in targets), tuple(chosen.items())),
-            NetworkLoadState(haps_load, mbs_load, tuple(0.0 if t else lam for t, lam in zip(targets, loads.lambda_sbs))),
-            power)
+    decision = Decision(tuple(t is not None for t in targets), tuple(t == HAPS for t in targets))
+    power, haps_load, mbs_load = total_power(net, *decision, loads.lambda_sbs, loads.lambda_haps, loads.lambda_mbs)
+    return decision, (haps_load, mbs_load), power
 
 
 def _candidate_key(power: float, delta: tuple[int, ...], targets):
@@ -92,7 +84,7 @@ def optimize_exhaustive(
 ):
     """Enumerate every on/off vector and sink assignment; return the best.
 
-    Returns (SwitchVector, final NetworkLoadState, power in watts). The all-on
+    Returns (Decision, (haps_load, mbs_load), power in watts). The all-on
     configuration is always feasible, so a result always exists.
 
     The enumeration adds up the offload table's plain floats (the load grid
@@ -132,9 +124,8 @@ def optimize_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, ...
     """Sleep SBSs in ascending-load order whenever it strictly lowers power.
 
     Each SBS goes to the sink with the lowest power change that still has
-    room, the first in tag order on a tie. Returns (SwitchVector, final
-    NetworkLoadState, power in watts); never worse than the all-on
-    configuration.
+    room, the first in tag order on a tie. Returns (Decision, (haps_load,
+    mbs_load), power in watts); never worse than the all-on configuration.
     """
     table = _offload_table(net, loads, sinks)
     sink_load = {HAPS: loads.lambda_haps, MBS: loads.lambda_mbs}

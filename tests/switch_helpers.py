@@ -5,19 +5,16 @@ once moved load one switch-off at a time through a new `NetworkLoadState` and
 summed the power of the final state; `power.total_power` evaluates a whole
 decision instead. The solver oracles in `test_kernel_oracles.py` still walk
 states this way, and `test_switching.py` unit-tests the movers they use.
-`evaluate` prices a solver's `SwitchVector` with `total_power`.
 """
 
 from vhetsim.errors import InconsistentStateError
-from vhetsim.power import NetworkLoadState, snap_load, total_power
-from vhetsim.switching import HAPS, MBS
+from vhetsim.power import NetworkLoadState, snap_load
+from vhetsim.switching import HAPS, MBS, Decision
 
 
-def evaluate(net, sv, loads: NetworkLoadState):
-    """total_power of a SwitchVector's decision on `loads`: (power_w, haps_load, mbs_load)."""
-    targets = dict(sv.offload_target)
-    return total_power(net, [bit == 0 for bit in sv.delta], [targets.get(j) == HAPS for j in range(len(sv.delta))],
-                       loads.lambda_sbs, loads.lambda_haps, loads.lambda_mbs)
+def decision_of(delta, targets: dict) -> Decision:
+    """The decision of the on/off bits `delta` and the sink tag of each sleeper, by SBS index."""
+    return Decision(tuple(bit == 0 for bit in delta), tuple(targets.get(j) == HAPS for j in range(len(delta))))
 
 
 class InfeasibleTransition(Exception):
@@ -63,14 +60,15 @@ def apply_switch_on(loads: NetworkLoadState, j: int, new_lambda_j: float, target
     return _with_sink(NetworkLoadState(loads.lambda_haps, loads.lambda_mbs, tuple(sbs)), target, sink)
 
 
-def state_power(net, switch, loads: NetworkLoadState) -> float:
+def state_power(net, delta, loads: NetworkLoadState) -> float:
     """Network power of a state whose sleepers carry no load: HAPS and MBS on the
-    active-branch line, then each SBS's line or its sleep power, in that order."""
+    active-branch line, then each SBS's line or, where its bit in `delta` is 0,
+    its sleep power, in that order."""
     def line(params, load):
         return params.operational_w + params.amplifier_eff * load * params.transmit_w
 
     power = line(net.haps.power, loads.lambda_haps)
     power += line(net.mbs.power, loads.lambda_mbs)
-    for station, bit, lam in zip(net.sbs, switch.delta, loads.lambda_sbs):
+    for station, bit, lam in zip(net.sbs, delta, loads.lambda_sbs):
         power += line(station.power, lam) if bit else station.power.sleep_w
     return power

@@ -235,14 +235,14 @@ def test_neighbor_sets_expose_what_the_checks_read(monkeypatch, method, returned
 def test_solvers_take_and_return_what_the_bench_reads(solver):
     # bench/ladders.py builds the network and loads as below; bench/reference.py's
     # problem_from_call reads the loads' three fields and each station's capacity
-    # and power coefficients; bench/checks.py reads result[2] as the power in watts
+    # and power coefficients; bench/checks.py reads result[2] as the power in watts;
+    # bench/daymix.py patches experiment.optimize_greedy and counts result[0].delta's zeros
     import numpy as np
 
+    import vhetsim.experiment
     from vhetsim.config import DEFAULT_BASE_LOAD, DEFAULT_CAPACITY, DEFAULT_POWER
-    from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier
+    from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier, total_power
     from vhetsim.switching import HAPS, MBS
-
-    from switch_helpers import evaluate
 
     def station(name, tier, capacity, power):
         return BaseStation(name, tier, (0.0, 0.0), capacity, PowerParams(**power))
@@ -254,6 +254,7 @@ def test_solvers_take_and_return_what_the_bench_reads(solver):
                   tuple(station(f"sbs-{j}", Tier.SBS, DEFAULT_CAPACITY["sbs"], DEFAULT_POWER["sbs"])
                         for j in range(6)))
     rng = np.random.default_rng(3)
+    slept = 0
     for sinks in ((HAPS, MBS), (HAPS,)):
         for _ in range(20):
             loads = NetworkLoadState(DEFAULT_BASE_LOAD["haps"], DEFAULT_BASE_LOAD["mbs"],
@@ -264,4 +265,12 @@ def test_solvers_take_and_return_what_the_bench_reads(solver):
             result = solve(net, loads, sinks=sinks, **extra)
             assert isinstance(result, tuple) and len(result) == 3
             assert isinstance(result[2], float)
-            assert result[2] == evaluate(net, result[0], loads)[0]
+            decision = result[0]
+            delta = decision.delta
+            assert isinstance(delta, tuple) and all(type(bit) is int for bit in delta) and set(delta) <= {0, 1}
+            assert [j for j, bit in enumerate(delta) if bit == 0] == [j for j, off in enumerate(decision.asleep) if off]
+            slept += delta.count(0)
+            # bit for bit, so `repr` of the floats as well
+            priced = total_power(net, *decision, loads.lambda_sbs, loads.lambda_haps, loads.lambda_mbs)
+            assert repr(priced) == repr((result[2], *result[1]))
+    assert slept and callable(vhetsim.experiment.optimize_greedy)

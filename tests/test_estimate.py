@@ -221,8 +221,7 @@ class TestEstimateWeighted:
             ns = NeighborSet(tuple(Neighbor(i, float(d), float(l))
                                    for i, (d, l) in enumerate(zip(dists, loads))))
             n = float(rng.random() * 8 + 0.2)
-            d_max = ns.d_max
-            w = d_max / dists ** n
+            w = dists.max() / dists ** n
             reference = float(np.dot(loads, w) / w.sum())
             assert estimate_weighted(ns, n) == pytest.approx(reference, rel=1e-12)
 

@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -15,7 +16,6 @@ import pytest
 import vhetsim.ingest
 from vhetsim.errors import CdrParseError, NormalizationError
 from vhetsim.ingest import (
-    _leaf_counter,
     _parse_profile_cache,
     _read_sidecar,
     Corpus,
@@ -578,11 +578,9 @@ class TestProfileCacheSidecar:
     # now checks the byte comparison for what it checked of that key
     CHUNK = 64
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
-    def test_tree_digest_matches_serial(self, tmp_path, monkeypatch, size, workers):
+    def test_tree_digest_matches_serial(self, tmp_path, monkeypatch, size):
         monkeypatch.setattr(vhetsim.ingest, "_CHUNK", self.CHUNK)
-        monkeypatch.setattr(vhetsim.ingest, "_COMPARE_WORKERS", workers)
         data = np.random.default_rng(size).bytes(size)
         path = tmp_path / "cache.csv"
         path.write_bytes(data)
@@ -605,68 +603,26 @@ class TestProfileCacheSidecar:
                 flipped[at] ^= 0x80
                 assert stored(bytes(flipped)) is None, at
 
-    @pytest.mark.parametrize("hasher", ["caller", "helper"])
-    @pytest.mark.parametrize("size", [CHUNK, 5 * CHUNK + 17])
-    def test_one_thread_hashes_every_leaf(self, tmp_path, monkeypatch, hasher, size):
-        # the other thread starts taking chunks only once `hasher` has compared them all
-        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", self.CHUNK)
-        monkeypatch.setattr(vhetsim.ingest, "_COMPARE_WORKERS", 1)
-        chunks_equal, caller = vhetsim.ingest._chunks_equal, threading.get_ident()
-        done = {"caller": threading.Event(), "helper": threading.Event()}
-        taken = {"caller": [], "helper": []}
-
-        def in_turn(csv_fd, copy_fd, start, size, take):
-            me = "caller" if threading.get_ident() == caller else "helper"
-            if me != hasher:
-                assert done[hasher].wait(30)
-
-            def recorded():
-                chunk = take()
-                taken[me].extend([] if chunk is None else [chunk])
-                return chunk
-
-            try:
-                return chunks_equal(csv_fd, copy_fd, start, size, recorded)
-            finally:
-                done[me].set()
-
-        monkeypatch.setattr(vhetsim.ingest, "_chunks_equal", in_turn)
-        data = np.random.default_rng(size).bytes(size)
-        path = tmp_path / "cache.csv"
-        path.write_bytes(data)
-        corpus = small_corpus()
+    def test_sidecar_replaced_during_the_read_is_not_used(self, tmp_path, monkeypatch):
+        # the arrays and the compared copy must come from one file, so a sidecar
+        # put in place between their two opens is not used, even an identical one
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
         sidecar = tmp_path / "cache.csv.npz"
-        write_sidecar(sidecar, csv=data, ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
-        assert _read_sidecar(path) == corpus
-        other = "helper" if hasher == "caller" else "caller"
-        assert taken == {hasher: list(range(-(-size // self.CHUNK))), other: []}
-        # and a difference in the last chunk is a miss
-        write_sidecar(sidecar, csv=data[:-1] + bytes([data[-1] ^ 1]), ids=corpus.ids, xy=corpus.xy, loads=corpus.loads)
+        opened = []
+
+        def replacing_open(file, *args, **kwargs):
+            if os.fspath(file) == os.fspath(sidecar) and opened:
+                shutil.copy(sidecar, tmp_path / "new.npz")
+                os.replace(tmp_path / "new.npz", sidecar)
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(vhetsim.ingest, "open", replacing_open, raising=False)
         assert _read_sidecar(path) is None
-
-    def test_leaf_counter_gives_each_leaf_once(self):
-        # more threads than cores, switching as often as the interpreter allows
-        take, taken = _leaf_counter(20_000), []
-
-        def drain():
-            mine = []
-            while (leaf := take()) is not None:
-                mine.append(leaf)
-            taken.append(mine)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=drain) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(leaf for mine in taken for leaf in mine) == list(range(20_000))
-        assert take() is None
+        assert len(opened) == 3     # the sidecar, the CSV, the sidecar again
+        monkeypatch.undo()
+        assert _read_sidecar(path) == small_corpus()
 
     def test_sidecar_of_the_earlier_tree_key_is_parsed_once_and_rewritten(self, tmp_path, monkeypatch):
         # the sidecar that the sha256-tree key wrote for this CSV of 1 735 785
@@ -755,8 +711,8 @@ class TestProfileCacheSidecar:
             raise OSError(errno.EIO, "Input/output error")
 
         with monkeypatch.context() as patch:
-            patch.setattr(os, "preadv", unreadable)
-            assert load_profile_cache(path) == small_corpus()   # a comparing thread fails
+            patch.setattr(vhetsim.ingest, "_same_bytes", unreadable)
+            assert load_profile_cache(path) == small_corpus()   # the comparing thread fails
         path.rename(tmp_path / "moved.csv")
         with pytest.raises(NormalizationError, match="cannot read"):
             load_profile_cache(path)                    # no CSV beside the sidecar

@@ -12,7 +12,7 @@ slot's pool is the reference for the pipeline's one ranking per SBS cell, and
 `object_path_estimates`, which builds each sleeper's neighbour set from
 `Neighbor` tuples, for the array neighbour sets the pipeline builds instead.
 `trial_state_greedy` and `inline_table_exhaustive` are the P1 solvers as they
-were before both read one offload table: greedy built a SwitchVector, a load
+were before both read one offload table: greedy built a switch vector, a load
 state and its power per trial switch-off. Both move load through the
 test-side `switch_helpers.apply_switch_off` and price a state with
 `switch_helpers.state_power`, not through `power.total_power`.
@@ -67,17 +67,17 @@ from vhetsim.power import (
     Tier,
     bs_power,
     snap_load,
+    total_power,
 )
 from vhetsim.switching import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     HAPS,
     MBS,
-    SwitchVector,
     optimize_exhaustive,
     optimize_greedy,
 )
 
-from switch_helpers import InfeasibleTransition, apply_switch_off, evaluate, state_power
+from switch_helpers import InfeasibleTransition, apply_switch_off, decision_of, state_power
 
 
 def sorted_rank_neighbors(target, cells, n_neighbors):
@@ -224,7 +224,7 @@ def inline_table_exhaustive(
 ):
     """Enumerate every on/off vector and sink assignment; return the best.
 
-    Returns (SwitchVector, final NetworkLoadState, power in watts). The all-on
+    Returns (Decision, (haps_load, mbs_load), power in watts). The all-on
     configuration is always feasible, so a result always exists.
 
     The enumeration tracks sink loads and power increments as plain floats
@@ -244,7 +244,7 @@ def inline_table_exhaustive(
             moved[j, target] = snap_load(raw) if raw <= 1.0 else None
     active_power = [bs_power(b.power, lam, True)
                     for b, lam in zip(net.sbs, loads.lambda_sbs)]
-    all_on_power = state_power(net, SwitchVector.all_on(s), loads)
+    all_on_power = state_power(net, (1,) * s, loads)
     eta_pt = {HAPS: net.haps.power.amplifier_eff * net.haps.power.transmit_w,
               MBS: net.mbs.power.amplifier_eff * net.mbs.power.transmit_w}
 
@@ -278,23 +278,22 @@ def inline_table_exhaustive(
             if best_key is None or key < best_key:
                 best, best_key = (delta, tuple(zip(sleepers, targets))), key
     delta, assignment = best
-    sv = SwitchVector(delta, assignment)
     state = _sleep_set_state(net, loads, [j for j, _ in assignment],
                              [t for _, t in assignment])
-    return sv, state, state_power(net, sv, state)
+    return decision_of(delta, dict(assignment)), (state.lambda_haps, state.lambda_mbs), state_power(net, delta, state)
 
 
 def trial_state_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, ...] = (HAPS, MBS)):
     """Sleep SBSs in ascending-load order whenever it strictly lowers power.
 
-    Returns (SwitchVector, final NetworkLoadState, power in watts); never worse
+    Returns (Decision, (haps_load, mbs_load), power in watts); never worse
     than the all-on configuration.
     """
     s = len(net.sbs)
     delta = [1] * s
     targets: dict[int, str] = {}
     state = loads
-    current = state_power(net, SwitchVector.all_on(s), state)
+    current = state_power(net, delta, state)
     order = sorted(range(s), key=lambda j: (loads.lambda_sbs[j], j))
     for j in order:
         best_choice = None
@@ -305,14 +304,13 @@ def trial_state_greedy(net: Network, loads: NetworkLoadState, sinks: tuple[str, 
             except InfeasibleTransition:
                 continue
             trial_delta = tuple(0 if k == j else delta[k] for k in range(s))
-            trial_targets = tuple({**targets, j: target}.items())
-            power = state_power(net, SwitchVector(trial_delta, trial_targets), candidate)
+            power = state_power(net, trial_delta, candidate)
             if best_choice is None or power < best_choice[0]:
                 best_choice = (power, target, candidate)
         if best_choice is not None and best_choice[0] < current:
             current, targets[j], state = best_choice[0], best_choice[1], best_choice[2]
             delta[j] = 0
-    return SwitchVector(tuple(delta), tuple(targets.items())), state, current
+    return decision_of(delta, targets), (state.lambda_haps, state.lambda_mbs), current
 
 
 def assert_same_model(got, want):
@@ -765,27 +763,6 @@ class TestSharedContext:
             got = kmeans_cluster(features, g, 1, context=context)
             assert got == kmeans_cluster(features, g, 1) == lloyd_kmeans(features, g, 1)
 
-    def test_merged_set_is_a_fresh_sort(self):
-        # grid values, so the changed points tie with kept ones and with each other
-        rng = np.random.default_rng(18)
-        orders_differ = 0
-        for trial in range(40):
-            n = int(rng.integers(12, 300))
-            old = rng.integers(0, 9, n) / 8.0
-            changed = rng.random(n) < rng.uniform(0.02, 0.5)
-            new = old.copy()
-            new[changed] = rng.integers(0, 9, int(changed.sum())) / 8.0
-            merged, fresh = _PointSet(old).merged(new, changed), _PointSet(new)
-            order, xs, csum, csq, sum_err, reach = merged.prefix
-            assert xs == fresh.prefix[1] and sorted(order.tolist()) == list(range(n))
-            assert csum.tobytes() == fresh.prefix[2].tobytes() and csq.tobytes() == fresh.prefix[3].tobytes()
-            assert (sum_err, reach) == fresh.prefix[4:]
-            orders_differ += not np.array_equal(order, fresh.prefix[0])
-            for g in range(1, 9):
-                for seed in range(3):
-                    assert kmeans_cluster(new, g, seed, context=merged) == kmeans_cluster(new, g, seed, context=fresh)
-        assert orders_differ >= 10
-
     def test_layer_zero_reuses_elbow_fit(self, monkeypatch):
         fits = []
 
@@ -992,11 +969,11 @@ class TestSolvers:
                                  inline_table_exhaustive(net, loads, sinks))
 
     def test_solvers_keep_sinks_at_or_below_one(self):
-        # the returned state and power are total_power's for the returned decision
+        # the returned sink loads and power are total_power's for the returned decision
         for solve, instances in ((optimize_greedy, solver_instances(7, 2_000, 22)),
                                  (optimize_exhaustive, solver_instances(8, 1_000, 7))):
             for net, loads, sinks in instances:
-                sv, state, power = solve(net, loads, sinks)
-                got = evaluate(net, sv, loads)
-                assert got == (power, state.lambda_haps, state.lambda_mbs)
-                assert got[1] <= 1.0 and got[2] <= 1.0
+                decision, sink_loads, power = solve(net, loads, sinks)
+                got = total_power(net, *decision, loads.lambda_sbs, loads.lambda_haps, loads.lambda_mbs)
+                assert got == (power, *sink_loads)
+                assert max(sink_loads) <= 1.0

@@ -12,7 +12,7 @@ from vhetsim.metrics import (
     estimation_error,
     mean_estimation_error,
 )
-from vhetsim.switching import HAPS, SwitchVector
+from vhetsim.switching import Decision
 
 
 class TestEstimationError:
@@ -60,8 +60,8 @@ class TestDecisionChangeRate:
         assert decision_change_rate((1, 0), (0, 1)) == 1.0
 
     def test_sink_choices_are_not_compared(self):
-        a = SwitchVector((1, 0), ((1, HAPS),))
-        b = SwitchVector((1, 0), ((1, "MBS"),))
+        a = Decision((False, True), (False, True))
+        b = Decision((False, True), (False, False))
         assert decision_change_rate(a.delta, b.delta) == 0.0
 
     def test_length_mismatch(self):

@@ -5,9 +5,9 @@ import pytest
 
 from vhetsim.errors import InconsistentStateError
 from vhetsim.power import BaseStation, Network, NetworkLoadState, PowerParams, Tier, moved_load, snap_load, total_power
-from vhetsim.switching import HAPS, MBS, SwitchVector, optimize_exhaustive, optimize_greedy
+from vhetsim.switching import HAPS, MBS, Decision, optimize_exhaustive, optimize_greedy
 
-from switch_helpers import InfeasibleTransition, apply_switch_off, apply_switch_on, evaluate
+from switch_helpers import InfeasibleTransition, apply_switch_off, apply_switch_on
 
 SBS_P = PowerParams(operational_w=56.0, amplifier_eff=2.6, transmit_w=6.3, sleep_w=6.0)
 MBS_P = PowerParams(operational_w=130.0, amplifier_eff=4.7, transmit_w=20.0, sleep_w=75.0)
@@ -28,28 +28,21 @@ def carried_traffic(loads, net) -> float:
             + math.fsum(l * b.capacity for l, b in zip(loads.lambda_sbs, net.sbs)))
 
 
-class TestSwitchVector:
-    def test_all_on(self):
-        sv = SwitchVector.all_on(3)
-        assert sv.delta == (1, 1, 1) and sv.offload_target == ()
+class TestDecision:
+    def test_delta_marks_sleepers_zero(self):
+        assert Decision((False, True, True), (False, True, False)).delta == (1, 0, 0)
 
-    def test_targets_must_cover_sleepers(self):
-        with pytest.raises(ValueError):
-            SwitchVector((1, 0))
-        with pytest.raises(ValueError):
-            SwitchVector((1, 1), ((0, HAPS),))
-
-    def test_bad_bit(self):
-        with pytest.raises(ValueError):
-            SwitchVector((1, 2), ((1, HAPS),))
-
-    def test_bad_target_tag(self):
-        with pytest.raises(ValueError):
-            SwitchVector((0,), ((0, "SAT"),))
-
-    def test_target_for(self):
-        sv = SwitchVector((0, 1, 0), ((2, MBS), (0, HAPS)))
-        assert sv.offload_target == ((0, HAPS), (2, MBS))
+    def test_solvers_send_no_active_sbs_to_a_sink(self):
+        # so that two decisions that sleep the same SBSs on the same sinks compare equal
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            net = make_net(n)
+            loads = NetworkLoadState(rng.random() * 0.3, rng.random() * 0.3,
+                                     tuple(rng.random() for _ in range(n)))
+            for solve in (optimize_greedy, optimize_exhaustive):
+                asleep, to_haps = solve(net, loads)[0]
+                assert all(off for off, h in zip(asleep, to_haps) if h)
 
 
 class TestRelativeCapacity:
@@ -152,14 +145,14 @@ class TestOptimizeExhaustive:
         sbs = tuple(BaseStation(f"s{i}", Tier.SBS, (0.0, 0.0), 10.0, cheap) for i in range(3))
         net = Network(haps, mbs, sbs)
         loads = NetworkLoadState(0.0, 0.0, (0.9, 0.8, 0.7))
-        sv, _, _ = optimize_exhaustive(net, loads)
-        assert sv.delta == (1, 1, 1)
+        decision, _, _ = optimize_exhaustive(net, loads)
+        assert decision.delta == (1, 1, 1)
 
     def test_zero_load_sbs_slept(self):
         net = make_net(2)
         loads = NetworkLoadState(0.1, 0.1, (0.0, 0.9))
-        sv, _, _ = optimize_exhaustive(net, loads)
-        assert sv.delta[0] == 0
+        decision, _, _ = optimize_exhaustive(net, loads)
+        assert decision.delta[0] == 0
 
     def test_refuses_above_limit(self):
         net = make_net(4)
@@ -177,23 +170,24 @@ class TestOptimizeExhaustive:
     def test_infeasible_sinks_force_all_on(self):
         net = make_net(2)
         loads = NetworkLoadState(1.0, 1.0, (0.1, 0.2))
-        sv, _, _ = optimize_exhaustive(net, loads)
-        assert sv.delta == (1, 1)
+        decision, _, _ = optimize_exhaustive(net, loads)
+        assert decision.delta == (1, 1)
 
 
 class TestOptimizeGreedy:
     def test_zero_loads_all_slept(self):
         net = make_net(4)
         loads = NetworkLoadState(0.0, 0.0, (0.0,) * 4)
-        sv, state, power = optimize_greedy(net, loads)
-        assert sv.delta == (0, 0, 0, 0)
-        assert (power, state.lambda_haps, state.lambda_mbs) == evaluate(net, sv, loads)
+        decision, sink_loads, power = optimize_greedy(net, loads)
+        assert decision.delta == (0, 0, 0, 0)
+        assert (power, *sink_loads) == total_power(net, *decision, loads.lambda_sbs,
+                                                   loads.lambda_haps, loads.lambda_mbs)
 
     def test_full_sinks_all_on(self):
         net = make_net(3)
         loads = NetworkLoadState(1.0, 1.0, (0.1, 0.2, 0.3))
-        sv, _, _ = optimize_greedy(net, loads)
-        assert sv.delta == (1, 1, 1)
+        decision, _, _ = optimize_greedy(net, loads)
+        assert decision.delta == (1, 1, 1)
 
     def test_never_worse_than_all_on(self):
         rng = random.Random(11)
@@ -203,7 +197,9 @@ class TestOptimizeGreedy:
             loads = NetworkLoadState(rng.random() * 0.3, rng.random() * 0.3,
                                      tuple(rng.random() for _ in range(n)))
             _, _, power = optimize_greedy(net, loads)
-            assert power <= evaluate(net, SwitchVector.all_on(n), loads)[0] + 1e-9
+            all_on = total_power(net, (False,) * n, (False,) * n, loads.lambda_sbs,
+                                 loads.lambda_haps, loads.lambda_mbs)[0]
+            assert power <= all_on + 1e-9
 
     def test_exhaustive_never_worse_than_greedy(self):
         rng = random.Random(13)
@@ -219,5 +215,5 @@ class TestOptimizeGreedy:
     def test_haps_only_sink_restriction(self):
         net = make_net(3)
         loads = NetworkLoadState(0.0, 0.0, (0.05, 0.1, 0.15))
-        sv, _, _ = optimize_greedy(net, loads, sinks=(HAPS,))
-        assert all(t == HAPS for _, t in sv.offload_target)
+        decision, _, _ = optimize_greedy(net, loads, sinks=(HAPS,))
+        assert decision.to_haps == decision.asleep
