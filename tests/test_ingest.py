@@ -578,9 +578,13 @@ class TestProfileCacheSidecar:
     # now checks the byte comparison for what it checked of that key
     CHUNK = 64
 
+    # the CSV is compared in chunks of CHUNK // split bytes: 64, 32 and 21, so each
+    # size below falls on, before or after a chunk's end for more than one width
+    @pytest.mark.parametrize("split", [1, 2, 3])
     @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
-    def test_tree_digest_matches_serial(self, tmp_path, monkeypatch, size):
-        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", self.CHUNK)
+    def test_tree_digest_matches_serial(self, tmp_path, monkeypatch, size, split):
+        chunk = self.CHUNK // split
+        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", chunk)
         data = np.random.default_rng(size).bytes(size)
         path = tmp_path / "cache.csv"
         path.write_bytes(data)
@@ -597,7 +601,7 @@ class TestProfileCacheSidecar:
         if size:
             assert stored(data[:-1]) is None
         # a flipped byte at each end of every chunk
-        for at in sorted({0, size - 1} | {end + step for end in range(0, size, self.CHUNK) for step in (-1, 0)}):
+        for at in sorted({0, size - 1} | {end + step for end in range(0, size, chunk) for step in (-1, 0)}):
             if 0 <= at < size:
                 flipped = bytearray(data)
                 flipped[at] ^= 0x80
