@@ -409,8 +409,13 @@ def _sse_history(context: _PointSet, history: list[list[int]]) -> list[float]:
 
 
 def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    sq = (pts[:, None] - centroids[None]) ** 2
-    return sq if pts.ndim == 1 else sq.sum(-1)
+    """The (points, centroids) squared distances, one centroid at a time, so a
+    profile fit never holds a (points, centroids, 144) array."""
+    d2 = np.empty((len(pts), len(centroids)))
+    for k, centroid in enumerate(centroids):
+        sq = (pts - centroid) ** 2
+        d2[:, k] = sq if pts.ndim == 1 else sq.sum(-1)
+    return d2
 
 
 def _grouped(values: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:

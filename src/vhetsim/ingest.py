@@ -296,19 +296,23 @@ def ingest_dataset(
         except (OSError, EOFError, zlib.error) as exc:
             raise CdrParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
         keys = np.asarray(keys)
-        # bincount adds each key's values in line order, starting from 0.0
-        totals += np.bincount(keys, weights=np.asarray(activities), minlength=totals.size)
+        # bincount adds each key's values in line order, starting from 0.0; the
+        # keys past the shard's end would add 0.0, which changes no total
+        shard = np.bincount(keys, weights=np.asarray(activities))
+        totals[:shard.size] += shard
         seen[keys // SLOTS_PER_DAY] = True
     ids = np.flatnonzero(seen) + 1
     if not len(ids):
         raise NormalizationError("empty profile corpus")
-    raw = totals.reshape(MILAN_GRID_CELLS, SLOTS_PER_DAY)[seen] / (day_count or len(days))
+    raw = totals.reshape(MILAN_GRID_CELLS, SLOTS_PER_DAY)[seen]
+    raw /= day_count or len(days)
     peak = raw.max()
     if peak <= 0.0:
         raise NormalizationError("all-zero corpus: nothing to normalize")
     if ids[-1] > grid_side * grid_side:
         raise NormalizationError(f"square_id {ids[-1]} outside a {grid_side} x {grid_side} grid")
-    return Corpus(ids, grid_centroids(ids, grid_side, cell_size_m), raw / peak)
+    raw /= peak
+    return Corpus(ids, grid_centroids(ids, grid_side, cell_size_m), raw)
 
 
 def check_cache_dir(path) -> None:
@@ -412,8 +416,16 @@ def _parse_profile_cache(path, copy=None) -> tuple[Corpus, bool]:
     ids = table[:, 0]
     if not (np.isfinite(ids) & (ids == np.rint(ids))).all():
         raise NormalizationError(f"{path}: cell ids must be integers")
+    ids, xy, loads = ids.astype(np.int64), table[:, 1:3].copy(), table[:, 3:]
+    if table.shape[1] == 3 + SLOTS_PER_DAY:
+        # each row's loads move to the front of the table's own buffer, 128 rows
+        # at a time: a block's target ends before the next block's source
+        # starts, and numpy buffers the overlap inside a block
+        loads = table.reshape(-1)[:table.shape[0] * SLOTS_PER_DAY].reshape(-1, SLOTS_PER_DAY)
+        for start in range(0, len(loads), 128):
+            loads[start:start + 128] = table[start:start + 128, 3:]
     try:
-        return Corpus(ids.astype(np.int64), table[:, 1:3], table[:, 3:]), tee.copy is not None
+        return Corpus(ids, xy, loads), tee.copy is not None
     except NormalizationError as exc:
         raise NormalizationError(f"{path}: {exc}") from None
 
@@ -480,8 +492,11 @@ def _parse_and_store(path) -> Corpus:
             with contextlib.suppress(OSError):
                 copy.close()
                 for name in ("ids", "xy", "loads"):
+                    array = getattr(corpus, name)
+                    # np.save's bytes, written from the array's own buffer, not a copy
                     with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                        np.lib.format.write_array(member, getattr(corpus, name), allow_pickle=False)
+                        np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
+                        member.write(memoryview(array))
                 archive.close()
                 os.replace(partial, sidecar)
     return corpus
@@ -501,7 +516,8 @@ def load_profile_cache(path) -> Corpus:
     only costs a parse, so deleting it is always safe; a bad CSV never gets
     one. A sidecar without the copy, written by an older version, is stale:
     the CSV is parsed once more and the sidecar rewritten. The sidecar takes
-    about 1.4 times the CSV's size on disk.
+    about 1.4 times the CSV's size on disk. Every load, a parse that writes the
+    sidecar or a sidecar read, holds the cells x 144 load matrix once.
     """
     corpus = _read_sidecar(path)
     return corpus if corpus is not None else _parse_and_store(path)

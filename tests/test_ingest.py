@@ -2,12 +2,14 @@ import csv
 import errno
 import gzip
 import hashlib
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -18,6 +20,8 @@ from vhetsim.errors import CdrParseError, NormalizationError
 from vhetsim.ingest import (
     _parse_profile_cache,
     _read_sidecar,
+    MILAN_GRID_CELLS,
+    SLOTS_PER_DAY,
     Corpus,
     SynthParams,
     TrafficProfile,
@@ -391,6 +395,12 @@ BAD_CACHE_EDITS = [
     (lambda ls: set_field(ls, 5, 0, "2"), "duplicate cell id 2"),
     (lambda ls: set_field(ls, 5, 0, "2.5"), "integers"),
     (lambda ls: ls[:1], "no cell profiles"),
+    # every data row one value short or long under an intact header: the table
+    # parses, and its shape is refused
+    (lambda ls: ls[:1] + [line.rsplit(",", 1)[0] for line in ls[1:]],
+     r"9 x 144 load factors, got \(9, 2\) and \(9, 143\)"),
+    (lambda ls: ls[:1] + [line + ",0.5" for line in ls[1:]],
+     r"9 x 144 load factors, got \(9, 2\) and \(9, 145\)"),
 ]
 
 
@@ -508,6 +518,15 @@ class TestProfileCacheSidecar:
             assert np.array_equal(getattr(hit, name), getattr(miss, name))
             assert getattr(hit, name).dtype == getattr(miss, name).dtype
         assert hit == small_corpus()
+
+    def test_members_are_np_save_bytes(self, tmp_path):
+        path = self.write_cache(tmp_path)
+        corpus = load_profile_cache(path)
+        with zipfile.ZipFile(tmp_path / "cache.csv.npz") as archive:
+            for name in ("ids", "xy", "loads"):
+                saved = io.BytesIO()
+                np.save(saved, getattr(corpus, name))
+                assert archive.read(f"{name}.npy") == saved.getvalue()
 
     def test_hit_does_not_parse(self, tmp_path, monkeypatch):
         path = self.write_cache(tmp_path)
@@ -726,6 +745,53 @@ class TestProfileCacheSidecar:
         assert threading.active_count() == threads
         if fds is not None:
             assert open_fds() == fds
+
+
+def random_corpus(cells):
+    """`cells` cells in a row, with random load factors."""
+    positions = np.column_stack([np.arange(cells) * 235.0, np.zeros(cells)])
+    return Corpus(np.arange(1, cells + 1), positions, np.random.default_rng(cells).random((cells, 144)))
+
+
+def traced_peak(call):
+    """`call()`'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadMemory:
+    """Each load holds the (cells, 144) matrix once. tracemalloc counts numpy's
+    data buffers, so a second copy of the matrix shows in the traced peak."""
+
+    def test_first_load_holds_the_loads_once(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        save_profile_cache(random_corpus(2000), path)
+        corpus, peak = traced_peak(lambda: load_profile_cache(path))
+        assert (tmp_path / "cache.csv.npz").is_file()
+        assert peak <= 1.25 * corpus.loads.nbytes
+        # the parse moves the loads inside the table over many blocks of rows
+        assert corpus == random_corpus(2000) == load_profile_cache(path)
+
+    def test_sidecar_hit_holds_the_loads_once(self, tmp_path, monkeypatch):
+        # the compare's two 512 KiB chunk buffers are a fixed cost, which
+        # 8 000 cells keep within the quarter
+        path = tmp_path / "cache.csv"
+        save_profile_cache(random_corpus(8000), path)
+        load_profile_cache(path)
+        TestProfileCacheSidecar.forbid_parse(monkeypatch)
+        corpus, peak = traced_peak(lambda: load_profile_cache(path))
+        assert peak <= 1.25 * corpus.loads.nbytes
+
+    def test_cdr_ingest_holds_its_totals_once(self, tmp_path):
+        records = [(square, slot * 600_000, 39, 1.0 + square + slot) for square in range(1, 10) for slot in range(144)]
+        cdr = write_cdr_dir(tmp_path / "cdr", records[:600], records[600:])
+        corpus, peak = traced_peak(lambda: ingest_dataset(cdr, grid_side=3))
+        assert len(corpus) == 9
+        # the (square, slot) totals span the whole Milan grid whatever the input
+        assert peak <= 1.25 * MILAN_GRID_CELLS * SLOTS_PER_DAY * 8
 
 
 def test_cli_import_leaves_scipy_out():

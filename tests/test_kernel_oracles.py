@@ -18,6 +18,8 @@ test-side `switch_helpers.apply_switch_off` and price a state with
 `switch_helpers.state_power`, not through `power.total_power`.
 `record_path_ingest` is the CDR ingest as it was before it summed lines
 straight into arrays: one record per line and dicts of totals and profiles.
+`broadcast_sq_distances` is the k-means distance matrix as one broadcast
+over every centroid at once.
 The kernels and solvers must return exactly what they return.
 """
 
@@ -648,6 +650,45 @@ class TestLloydSorted:
         assert labels.tolist() == want_labels.tolist() == [2, 0, 1, 0]
         assert counts.tolist() == [2, 1, 1] and not converged
         assert len(history) == len(want_history) == 1
+
+
+def broadcast_sq_distances(pts, centroids):
+    """`_sq_distances` as it was: one (points, centroids[, 144]) broadcast."""
+    sq = (pts[:, None] - centroids[None]) ** 2
+    return sq if pts.ndim == 1 else sq.sum(-1)
+
+
+class TestSqDistances:
+    """`_sq_distances`, one centroid at a time, against the broadcast form: the same bits."""
+
+    @staticmethod
+    def assert_same_bits(pts, centroids):
+        got = _sq_distances(pts, centroids)
+        # the reference in blocks of rows, each row on its own, so no block holds a large broadcast
+        want = np.concatenate([broadcast_sq_distances(pts[at:at + 500], centroids) for at in range(0, len(pts), 500)])
+        assert got.shape == want.shape == (len(pts), len(centroids)) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def centroids(pts, g, rng):
+        """g centroids: means of random point subsets, with some points themselves."""
+        means = [pts[rng.choice(len(pts), int(rng.integers(1, 20)))].mean(axis=0) for _ in range(g)]
+        return np.array([pts[rng.integers(len(pts))] if rng.random() < 0.3 else m for m in means])
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_matches_broadcast(self, g):
+        rng = np.random.default_rng(g)
+        profiles = rng.random((300, 144))
+        for pts in (rng.random(400), rng.integers(0, 5, 400) / 4, profiles,
+                    np.repeat(profiles[:40], 5, axis=0), np.repeat(rng.random(50), 8)):
+            self.assert_same_bits(pts, self.centroids(pts, g, rng))
+
+    def test_matches_broadcast_on_the_bench_cache(self):
+        loads = bench_cache_loads(1)
+        rng = np.random.default_rng(5)
+        for g in range(1, 11):
+            self.assert_same_bits(loads, self.centroids(loads, g, rng))
+            self.assert_same_bits(loads[:, 72], self.centroids(loads[:, 72], g, rng))
 
 
 class TestWeightedDraw:
