@@ -12,7 +12,7 @@ from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import SimulationError
 from .experiment import load_corpus, run_experiment
 from .ingest import DEFAULT_CELL_SIZE_M, check_cache_dir, ingest_dataset, save_profile_cache
-from .reporting import emit_report, emit_sweep, make_output_dir
+from .reporting import emit_report, emit_sweep, make_output_dir, run_label
 
 
 def _parse_vary(arg: str) -> tuple[str, list]:
@@ -77,7 +77,7 @@ def _sweep(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = apply_overrides(config, {"seed": args.seed})
-    make_output_dir(args.out)
+    out = make_output_dir(args.out)
     keys = [key for key, _ in args.vary]
     value_lists = [values for _, values in args.vary]
     results = []
@@ -90,10 +90,9 @@ def _sweep(args) -> int:
         if source not in corpora:
             corpora[source] = load_corpus(run_config)
         report = run_experiment(run_config, corpora[source])
-        label = "_".join(f"{k.replace('.', '-')}={v}" for k, v in overrides.items())
-        emit_report(report, f"{args.out}/run_{label}")
+        emit_report(report, out / f"run_{run_label(overrides.items())}")
         results.append((overrides, report))
-    paths = emit_sweep(results, keys[0], args.out)
+    paths = emit_sweep(results, keys[0], out)
     for path in paths:
         print(f"wrote {path}")
     return 0

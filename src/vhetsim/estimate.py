@@ -410,10 +410,11 @@ def _sse_history(context: _PointSet, history: list[list[int]]) -> list[float]:
 
 def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """The (points, centroids) squared distances, one centroid at a time, so a
-    profile fit never holds a (points, centroids, 144) array."""
-    d2 = np.empty((len(pts), len(centroids)))
+    profile fit holds one points-sized buffer, never a (points, centroids, 144) array."""
+    d2, sq = np.empty((len(pts), len(centroids))), np.empty_like(pts)
     for k, centroid in enumerate(centroids):
-        sq = (pts - centroid) ** 2
+        np.subtract(pts, centroid, out=sq)
+        sq *= sq
         d2[:, k] = sq if pts.ndim == 1 else sq.sum(-1)
     return d2
 

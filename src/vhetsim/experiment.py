@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,16 +21,23 @@ from .errors import InsufficientNeighborsError, SimulationError
 from .estimate import (CellLoad, CellPool, NeighborSet, estimate_mean, estimate_weighted, mlc_estimate,
                        rank_neighbors, select_random)
 from .ingest import Corpus, ingest_dataset, load_profile_cache, synth_traffic
-from .metrics import SlotMetrics, ThresholdPolicy, decision_change_rate, empirical_p_err, mean_estimation_error
+from .metrics import ThresholdPolicy, decision_change_rate, empirical_p_err, mean_estimation_error
 from .power import BaseStation, Network, NetworkLoadState, Tier
 from .switching import HAPS, MBS, optimize_exhaustive, optimize_greedy
 
 
-@dataclass(frozen=True)
-class SlotRow:
+class SlotRow(NamedTuple):
+    """One (iteration, slot) pair's outputs. The fields are the columns of rows.csv, in
+    order, and every field after `slot` is aggregated in the summary. NaN marks undefined."""
+
     iteration: int
     slot: int
-    metrics: SlotMetrics
+    mean_eps: float
+    power_true_w: float
+    power_est_w: float
+    decision_change: float
+    p_off_on: float
+    p_on_off: float
 
 
 @dataclass
@@ -42,17 +50,9 @@ class ExperimentReport:
     skipped_zero_load: int = 0
 
     def summary(self) -> dict:
-        cols = {
-            "mean_eps": [r.metrics.estimation_error for r in self.rows],
-            "power_true_w": [r.metrics.power_true for r in self.rows],
-            "power_est_w": [r.metrics.power_est for r in self.rows],
-            "decision_change": [r.metrics.decision_change_rate for r in self.rows],
-            "p_off_on": [r.metrics.p_err_off_on for r in self.rows],
-            "p_on_off": [r.metrics.p_err_on_off for r in self.rows],
-        }
         aggregates = {}
-        for name, values in cols.items():
-            arr = np.asarray(values, dtype=float)
+        for k, name in enumerate(SlotRow._fields[2:], start=2):
+            arr = np.asarray([row[k] for row in self.rows], dtype=float)
             finite = arr[~np.isnan(arr)]
             aggregates[name] = {
                 "mean": float(finite.mean()) if finite.size else math.nan,
@@ -215,15 +215,10 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
                 eps, skipped = mean_estimation_error(pairs) if pairs else (0.0, 0)
                 skipped_total += skipped
                 p_off_on, p_on_off = empirical_p_err(pairs, policy)
-                rows.append(SlotRow(iteration, slot, SlotMetrics(
-                    estimation_error=eps,
-                    power_true=p_true,
-                    power_est=p_est,
-                    decision_change_rate=decision_change_rate(decision.delta, decision_est.delta),
-                    p_err_off_on=math.nan if p_off_on is None else p_off_on,
-                    p_err_on_off=math.nan if p_on_off is None else p_on_off,
-                    skipped_zero_load=skipped,
-                )))
+                rows.append(SlotRow(
+                    iteration, slot, eps, p_true, p_est, decision_change_rate(decision.delta, decision_est.delta),
+                    math.nan if p_off_on is None else p_off_on, math.nan if p_on_off is None else p_on_off,
+                ))
             except SimulationError as exc:
                 raise SimulationError(f"iteration {iteration}, slot {slot}: {exc}") from exc
     return ExperimentReport(

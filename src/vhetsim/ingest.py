@@ -273,9 +273,8 @@ def ingest_dataset(
         raise NormalizationError(f"cannot read CDR directory {dataset_dir}: {exc.strerror}") from None
     if not paths:
         raise NormalizationError(f"no CDR files found under {dataset_dir}")
-    # flat (square - 1) * 144 + slot keys
-    totals = np.zeros(MILAN_GRID_CELLS * SLOTS_PER_DAY)
-    seen = np.zeros(MILAN_GRID_CELLS, dtype=bool)
+    # flat (square - 1) * 144 + slot keys, grown in whole squares to the largest key seen
+    totals, seen = np.zeros(0), np.zeros(0, dtype=bool)
     days: set[int] = set()
     for path in paths:
         # 16 bytes a line, where lists of Python numbers take about 70
@@ -299,12 +298,16 @@ def ingest_dataset(
         # bincount adds each key's values in line order, starting from 0.0; the
         # keys past the shard's end would add 0.0, which changes no total
         shard = np.bincount(keys, weights=np.asarray(activities))
+        if shard.size > totals.size:
+            squares = -(-shard.size // SLOTS_PER_DAY)
+            totals = np.pad(totals, (0, squares * SLOTS_PER_DAY - totals.size))
+            seen = np.pad(seen, (0, squares - seen.size))
         totals[:shard.size] += shard
         seen[keys // SLOTS_PER_DAY] = True
     ids = np.flatnonzero(seen) + 1
     if not len(ids):
         raise NormalizationError("empty profile corpus")
-    raw = totals.reshape(MILAN_GRID_CELLS, SLOTS_PER_DAY)[seen]
+    raw = totals.reshape(-1, SLOTS_PER_DAY)[seen]
     raw /= day_count or len(days)
     peak = raw.max()
     if peak <= 0.0:

@@ -19,19 +19,6 @@ class ThresholdPolicy:
             raise ValueError("lambda_th must lie strictly inside (0, 1)")
 
 
-@dataclass(frozen=True)
-class SlotMetrics:
-    """Metrics recorded for one (iteration, slot) pair. NaN marks undefined."""
-
-    estimation_error: float
-    power_true: float
-    power_est: float
-    decision_change_rate: float
-    p_err_off_on: float
-    p_err_on_off: float
-    skipped_zero_load: int = 0
-
-
 def estimation_error(lambda_true: float, lambda_hat: float) -> float:
     """Relative error |lambda_true - lambda_hat| / lambda_true."""
     if lambda_true == 0.0:

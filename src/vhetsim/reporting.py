@@ -3,19 +3,28 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
 from pathlib import Path
 
 from .errors import SimulationError
-from .experiment import ExperimentReport
+from .experiment import ExperimentReport, SlotRow
 
-CSV_HEADER = ["iteration", "slot", "mean_eps", "power_true_w", "power_est_w",
-              "decision_change", "p_off_on", "p_on_off"]
+# '%' is escaped too, so a label decodes back to its values
+_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in "%/" + os.sep})
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def run_label(overrides) -> str:
+    """The file-name label of (key, value) override pairs. '%', '/' and the path
+    separator in a value are percent-escaped, so a label names a direct child of
+    the output directory and two distinct values never share one."""
+    return "_".join(f"{k.replace('.', '-')}={str(v).translate(_ESCAPES)}" for k, v in overrides)
 
 
 def make_output_dir(outdir) -> Path:
@@ -28,35 +37,38 @@ def make_output_dir(outdir) -> Path:
     return outdir
 
 
+def _write(path: Path, text: str) -> Path:
+    """Write `text` to `path` as UTF-8, line endings as given; SimulationError if it cannot be."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SimulationError(f"cannot write {path}: {exc.strerror}") from None
+    return path
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write(path, buf.getvalue())
+
+
 def emit_report(report: ExperimentReport, outdir) -> dict[str, Path]:
     """Write rows.csv, summary.json and the resolved config echo.
 
     UTF-8, LF line endings, '.' decimal separator; byte-identical for
-    identical (config, seed) runs.
+    identical (config, seed) runs. The columns of rows.csv are the fields of `SlotRow`.
     """
     outdir = make_output_dir(outdir)
-    rows_path = outdir / "rows.csv"
-    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in report.rows:
-            m = row.metrics
-            writer.writerow([
-                row.iteration, row.slot, _fmt(m.estimation_error),
-                _fmt(m.power_true), _fmt(m.power_est),
-                _fmt(m.decision_change_rate), _fmt(m.p_err_off_on),
-                _fmt(m.p_err_on_off),
-            ])
-    summary_path = outdir / "summary.json"
-    summary = report.summary()
-    summary["config"] = report.config_echo
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
-    config_path = outdir / "config.yaml"
-    with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.config_echo)
-    return {"rows": rows_path, "summary": summary_path, "config": config_path}
+    summary = {**report.summary(), "config": report.config_echo}
+    return {
+        "rows": _write_csv(outdir / "rows.csv", SlotRow._fields,
+                           ([row.iteration, row.slot, *map(_fmt, row[2:])] for row in report.rows)),
+        "summary": _write(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"),
+        "config": _write(outdir / "config.yaml", report.config_echo),
+    }
 
 
 def emit_sweep(results, x_key: str, outdir) -> list[Path]:
@@ -73,19 +85,13 @@ def emit_sweep(results, x_key: str, outdir) -> list[Path]:
         series.setdefault(rest, []).append((x_value, report))
     paths = []
     for rest, points in series.items():
-        label = "_".join(f"{k.replace('.', '-')}={v}" for k, v in rest) or "all"
-        path = outdir / f"series_{label}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([x_key, "mean_eps", "mean_power_true_w",
-                             "mean_power_est_w", "mean_decision_change"])
-            for x_value, report in sorted(points, key=lambda p: _sort_key(p[0])):
-                agg = report.summary()["aggregates"]
-                writer.writerow([x_value] + [
-                    _fmt(agg[col]["mean"])
-                    for col in ("mean_eps", "power_true_w", "power_est_w", "decision_change")
-                ])
-        paths.append(path)
+        rows = []
+        for x_value, report in sorted(points, key=lambda p: _sort_key(p[0])):
+            agg = report.summary()["aggregates"]
+            rows.append([x_value] + [_fmt(agg[col]["mean"])
+                                     for col in ("mean_eps", "power_true_w", "power_est_w", "decision_change")])
+        header = [x_key, "mean_eps", "mean_power_true_w", "mean_power_est_w", "mean_decision_change"]
+        paths.append(_write_csv(outdir / f"series_{run_label(rest) or 'all'}.csv", header, rows))
     return sorted(paths)
 
 

@@ -250,7 +250,7 @@ def test_criterion_06_clustering_power_gap_beats_distance_baseline():
             raw.update(extra)
         report = run_experiment(resolve_config(raw))
         return float(np.mean([
-            abs(r.metrics.power_est - r.metrics.power_true) / r.metrics.power_true
+            abs(r.power_est_w - r.power_true_w) / r.power_true_w
             for r in report.rows]))
 
     gap_mlc = power_gap({"method": "mlc", "cluster_count": 12, "layer_count": 7},
@@ -311,9 +311,9 @@ def test_criterion_08_perfect_knowledge_anchor():
     }
     report = run_experiment(resolve_config(raw))
     bad = sum(1 for r in report.rows
-              if r.metrics.estimation_error != 0.0
-              or r.metrics.decision_change_rate != 0.0
-              or r.metrics.power_est != r.metrics.power_true)
+              if r.mean_eps != 0.0
+              or r.decision_change != 0.0
+              or r.power_est_w != r.power_true_w)
     verdict(8, bad == 0 and len(report.rows) == 288,
             f"perfect estimator: eps=0, decision change=0, P_est=P_T in all "
             f"{len(report.rows)} slots ({bad} violations)")

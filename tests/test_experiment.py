@@ -16,8 +16,8 @@ from vhetsim.ingest import (
     save_profile_cache,
     synth_traffic,
 )
-from vhetsim.reporting import CSV_HEADER, emit_report
-from vhetsim.experiment import ExperimentReport
+from vhetsim.reporting import emit_report, run_label
+from vhetsim.experiment import ExperimentReport, SlotRow
 
 
 def base_raw(**overrides):
@@ -146,10 +146,9 @@ class TestRunExperiment:
         report = run_experiment(resolve_config(raw))
         assert report.skipped_zero_load == 0
         for row in report.rows:
-            m = row.metrics
-            assert m.estimation_error == 0.0
-            assert m.decision_change_rate == 0.0
-            assert m.power_est == m.power_true
+            assert row.mean_eps == 0.0
+            assert row.decision_change == 0.0
+            assert row.power_est_w == row.power_true_w
 
     @pytest.mark.parametrize("method", ["distance_unweighted", "distance_weighted",
                                         "random_unweighted", "random_weighted", "mlc"])
@@ -175,8 +174,7 @@ class TestRunExperiment:
     def test_summary_recomputable_from_rows(self):
         report = run_experiment(resolve_config(base_raw()))
         agg = report.summary()["aggregates"]
-        eps = [r.metrics.estimation_error for r in report.rows
-               if not math.isnan(r.metrics.estimation_error)]
+        eps = [r.mean_eps for r in report.rows if not math.isnan(r.mean_eps)]
         assert agg["mean_eps"]["mean"] == pytest.approx(sum(eps) / len(eps))
         assert agg["mean_eps"]["defined_rows"] == len(eps)
 
@@ -185,7 +183,7 @@ def read_rows(path) -> list[dict]:
     """Re-parse a rows.csv into typed dicts."""
     with open(path, newline="", encoding="utf-8") as fh:
         return [{"iteration": int(row["iteration"]), "slot": int(row["slot"]),
-                 **{k: float(row[k]) for k in CSV_HEADER[2:]}}
+                 **{k: float(row[k]) for k in SlotRow._fields[2:]}}
                 for row in csv.DictReader(fh)]
 
 
@@ -205,6 +203,20 @@ class TestReporting:
         text = paths["rows"].read_text(encoding="utf-8")
         assert text == ("iteration,slot,mean_eps,power_true_w,power_est_w,"
                         "decision_change,p_off_on,p_on_off\n")
+
+    @pytest.mark.parametrize("ran", [True, False])
+    def test_outputs_follow_slot_row(self, tmp_path, ran):
+        # the rows.csv header and the summary's aggregates are SlotRow's fields
+        report = (run_experiment(resolve_config(base_raw())) if ran else
+                  ExperimentReport(rows=[], config_echo="{}\n", seed=0, solver_used="greedy"))
+        paths = emit_report(report, tmp_path / "out")
+        with open(paths["rows"], newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+        assert tuple(lines[0]) == SlotRow._fields and len(lines) == 1 + len(report.rows)
+        assert tuple(report.summary()["aggregates"]) == SlotRow._fields[2:]
+        summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+        assert sorted(summary["aggregates"]) == sorted(SlotRow._fields[2:])
+        assert summary["aggregates"]["power_true_w"]["defined_rows"] == len(report.rows)
 
     def test_config_echo_byte_identical(self, tmp_path):
         cfg = resolve_config(base_raw())
@@ -261,6 +273,44 @@ class TestCli:
         body = (out / series[0]).read_text(encoding="utf-8").splitlines()
         assert body[0].startswith("estimator.neighbor_count,")
         assert len(body) == 3
+
+    def test_sweep_over_dataset_paths(self, tmp_path, monkeypatch):
+        # a '/' in a swept value must nest no run directory or series file below --out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        for seed in (1, 2):
+            save_profile_cache(synth_traffic(SynthParams(grid_side=6, noise_std=0.2, seed=seed)),
+                               f"data/c{seed}.csv")
+        raw = base_raw(grid_side=6, dataset="data/c1.csv")
+        del raw["synth"]
+        assert main(["sweep", "--config", str(self.write_config(tmp_path, raw)), "--out", "out",
+                     "--vary", "estimator.neighbor_count=3,5", "--vary", "dataset=data/c1.csv,data/c2.csv"]) == 0
+        runs = [f"run_estimator-neighbor_count={n}_dataset=data%2Fc{c}.csv" for n in (3, 5) for c in (1, 2)]
+        series = [f"series_dataset=data%2Fc{c}.csv.csv" for c in (1, 2)]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(runs + series)
+        assert all((tmp_path / "out" / run / "rows.csv").is_file() for run in runs)
+        assert len((tmp_path / "out" / series[1]).read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_run_label(self):
+        assert run_label([("estimator.neighbor_count", 3), ("synth.seed", 4)]) == \
+            "estimator-neighbor_count=3_synth-seed=4"
+        assert run_label([("dataset", "a/b%2F.csv")]) == "dataset=a%2Fb%252F.csv"
+        assert run_label([("dataset", "a%2Fb")]) != run_label([("dataset", "a/b")])
+        assert run_label([]) == ""
+
+    @pytest.mark.parametrize("name", ["rows.csv", "summary.json", "config.yaml"])
+    def test_simulate_unwritable_output_clean_exit(self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        assert main(["simulate", "--config", str(self.write_config(tmp_path)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out / name}: Is a directory\n"
+
+    def test_sweep_unwritable_series_clean_exit(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        (out / "series_all.csv").mkdir(parents=True)
+        assert main(["sweep", "--config", str(self.write_config(tmp_path)), "--out", str(out),
+                     "--vary", "estimator.neighbor_count=3,5"]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out / 'series_all.csv'}: Is a directory\n"
 
     def test_ingest(self, tmp_path, capsys):
         data = tmp_path / "cdr"

@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of rows.csv and summary.json for small fixed configs.
+"""Golden outputs: sha256 of rows.csv, summary.json and sweep series for small fixed configs.
 
 The rows.csv digests were recorded before the corpus became an array type and
 the neighbour and k-means kernels were vectorised; those changes must leave
@@ -12,7 +12,9 @@ import hashlib
 
 import numpy as np
 import pytest
+import yaml
 
+from vhetsim.cli import main
 from vhetsim.config import resolve_config
 from vhetsim.experiment import run_experiment
 from vhetsim.ingest import SynthParams, save_profile_cache, synth_traffic
@@ -109,3 +111,21 @@ def test_cache_sidecar_outputs_unchanged(tmp_path, monkeypatch):
     assert (tmp_path / "cache.csv.npz").is_file()
     monkeypatch.setattr(np, "loadtxt", None)
     assert digests(raw, tmp_path / "second") == GOLDEN["cache_distance_weighted"]
+
+
+# the series files of a 2 x 2 sweep over distance_weighted, one per distance exponent
+SERIES_GOLDEN = {
+    "series_estimator-distance_exponent=1.csv": "7996b1507766bbe11e89f7924224abe04f0671cdc6ef999ae557e4e7d11f6028",
+    "series_estimator-distance_exponent=3.csv": "665f370e2a8595e0664efbe68905a66714d348612791e788c861f5d56a419d9b",
+}
+
+
+def test_sweep_series_unchanged(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(CONFIGS["distance_weighted"]), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--vary", "estimator.neighbor_count=3,5",
+                 "--vary", "estimator.distance_exponent=1,3"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("series_*.csv")}
+    assert got == SERIES_GOLDEN

@@ -29,6 +29,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -689,6 +690,20 @@ class TestSqDistances:
         for g in range(1, 11):
             self.assert_same_bits(loads, self.centroids(loads, g, rng))
             self.assert_same_bits(loads[:, 72], self.centroids(loads[:, 72], g, rng))
+
+
+    @pytest.mark.parametrize("shape", [(100_000,), (2_000, 144)], ids=["scalar", "profile"])
+    def test_holds_one_points_sized_buffer(self, shape):
+        # (pts - centroid) ** 2 would hold two points-sized arrays at once
+        pts = np.random.default_rng(7).random(shape)
+        centroids = pts[:3].copy()
+        tracemalloc.start()
+        try:
+            d2 = _sq_distances(pts, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * pts.nbytes + d2.nbytes
 
 
 class TestWeightedDraw:
