@@ -11,6 +11,7 @@ of arrays.
 from __future__ import annotations
 
 import array
+import collections
 import contextlib
 import gzip
 import io
@@ -341,8 +342,9 @@ def save_profile_cache(corpus: Corpus, path) -> None:
 
 # The sidecar `<cache>.npz` holds the parsed arrays and, as its uncompressed
 # member `csv`, a copy of the CSV bytes they were parsed from. A load compares
-# the CSV with that copy in chunks of `_CHUNK` bytes.
-_CHUNK = 1 << 19
+# the CSV with that copy in chunks of `_CHUNK` bytes, which two threads take
+# from one shared iterator of chunk offsets.
+_CHUNK = 1 << 18
 _COPY = "csv"
 
 
@@ -366,29 +368,49 @@ class _TeeReader(io.RawIOBase):
         return count
 
 
-def _same_bytes(csv, copy, size: int) -> bool:
-    """Whether the next `size` bytes of the binary files `csv` and `copy` are
-    equal. Reads both in order; stops at the first chunk that differs."""
+def _same_bytes(csv: int, copy: int, start: int, size: int, chunks) -> bool:
+    """Whether the chunks of the `size`-byte file `csv` at the offsets `chunks` hands out equal
+    those of the file `copy` from `start` on. Reads by offset, so threads can share the files
+    and the iterator; the first chunk that differs takes every chunk left."""
     ours, theirs = bytearray(min(_CHUNK, size)), bytearray(min(_CHUNK, size))
-    for at in range(0, size, _CHUNK):
+    for at in chunks:
         del ours[size - at:], theirs[size - at:]     # only the last chunk is short
         # bytearrays compare with memcmp, memoryviews byte by byte
-        if csv.readinto(ours) != len(ours) or copy.readinto(theirs) != len(theirs) or ours != theirs:
+        if os.preadv(csv, [ours], at) != len(ours) or os.preadv(copy, [theirs], start + at) != len(theirs) \
+                or ours != theirs:
+            collections.deque(chunks, maxlen=0)
             return False
     return True
 
 
-def _copy_start(fd: int, copy: zipfile.ZipInfo, size: int) -> int | None:
-    """Where the bytes of the sidecar's copy start, or None unless the copy is
-    stored uncompressed and is `size` bytes long."""
-    if copy.compress_type != zipfile.ZIP_STORED or not copy.file_size == copy.compress_size == size:
-        return None
+def _member_start(fd: int, member: zipfile.ZipInfo) -> int:
+    """Where the bytes of a sidecar member start; ValueError unless it is stored uncompressed."""
     # the 30-byte local header: signature, 22 bytes of fields, then the name and extra lengths
-    header = os.pread(fd, 30, copy.header_offset)
-    if len(header) < 30:
-        return None
-    signature, name, extra = struct.unpack("<4s22xHH", header)
-    return copy.header_offset + 30 + name + extra if signature == b"PK\x03\x04" else None
+    header = os.pread(fd, 30, member.header_offset)
+    if member.compress_type != zipfile.ZIP_STORED or member.file_size != member.compress_size \
+            or len(header) < 30 or header[:4] != b"PK\x03\x04":
+        raise ValueError(f"sidecar member {member.filename} is not stored")
+    name, extra = struct.unpack("<26xHH", header)
+    return member.header_offset + 30 + name + extra
+
+
+def _read_npy(sidecar, member: zipfile.ZipInfo) -> np.ndarray:
+    """The array of a stored `.npy` member of the open sidecar, read into an array of its own.
+    KeyError for a `.npy` version other than 1.0 and 2.0; ValueError unless the header fits the
+    member's size and names C order and no object dtype, checked before the allocation, and the CRC holds."""
+    start = _member_start(sidecar.fileno(), member)
+    sidecar.seek(start)
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}[np.lib.format.read_magic(sidecar)]
+    shape, fortran, dtype = read_header(sidecar)
+    header = sidecar.tell() - start
+    if fortran or dtype.hasobject or header + dtype.itemsize * math.prod(shape) != member.file_size:
+        raise ValueError(f"sidecar member {member.filename} does not hold its header's array")
+    array = np.empty(shape, dtype)
+    if sidecar.readinto(array) != array.nbytes \
+            or zlib.crc32(array, zlib.crc32(os.pread(sidecar.fileno(), header, start))) != member.CRC:
+        raise ValueError(f"sidecar member {member.filename} fails its CRC")
+    return array
 
 
 def _sidecar_path(path) -> str:
@@ -436,30 +458,28 @@ def _parse_profile_cache(path, copy=None) -> tuple[Corpus, bool]:
 def _read_sidecar(path) -> Corpus | None:
     """The corpus stored beside the cache, or None when the sidecar is missing,
     unreadable or damaged, fails the corpus checks, or holds a copy that is not
-    byte for byte the CSV's current content. A helper thread compares the CSV
-    with the copy while this thread reads the arrays, which the zip CRCs
-    check, and checks the corpus."""
+    byte for byte the CSV's current content. The arrays and the copy come from
+    one open sidecar. A helper thread starts to compare the CSV with the copy
+    while this thread reads the arrays, which the zip CRCs check, and checks
+    the corpus; then this thread joins the compare."""
     try:
         with contextlib.ExitStack() as stack:
-            # opened here, not by np.load, which leaves a file it fails to read open
             sidecar = stack.enter_context(open(_sidecar_path(path), "rb"))
-            data = np.load(sidecar, allow_pickle=False)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                return None
-            stack.enter_context(data)
-            member = data.zip.getinfo(_COPY)     # a KeyError for an older sidecar: stale
+            archive = zipfile.ZipFile(sidecar)
+            copy = archive.getinfo(_COPY)     # a KeyError for an older sidecar: stale
             csv = stack.enter_context(open(path, "rb"))
             size = os.fstat(csv.fileno()).st_size
-            start = _copy_start(sidecar.fileno(), member, size)
-            # the helper's own handle, on the file the arrays come from
-            copy = stack.enter_context(open(_sidecar_path(path), "rb"))
-            if start is None or not os.path.samestat(os.fstat(sidecar.fileno()), os.fstat(copy.fileno())):
+            if copy.file_size != size:
                 return None
-            copy.seek(start)
-            # entered last, so the helper is joined before the files close
-            equal = stack.enter_context(ThreadPoolExecutor(1)).submit(_same_bytes, csv, copy, size)
-            corpus = Corpus(data["ids"], data["xy"], data["loads"])
-            return corpus if equal.result() else None
+            start = _member_start(sidecar.fileno(), copy)
+            compare = (csv.fileno(), sidecar.fileno(), start, size, iter(range(0, size, _CHUNK)))
+            # the helper is joined before the files close, and on every way out
+            # the chunks left are taken first, which ends its share
+            helper = stack.enter_context(ThreadPoolExecutor(1)).submit(_same_bytes, *compare)
+            stack.callback(collections.deque, compare[-1], 0)
+            corpus = Corpus(*(_read_npy(sidecar, archive.getinfo(f"{name}.npy")) for name in ("ids", "xy", "loads")))
+            equal = _same_bytes(*compare)
+            return corpus if helper.result() and equal else None
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, NormalizationError):
         return None
 
@@ -514,13 +534,13 @@ def load_profile_cache(path) -> Corpus:
 
     The CSV is parsed once per content: the parse streams the bytes it reads
     into a sidecar, `<path>.npz`, and stores the parsed arrays beside them.
-    A later call compares the CSV with that copy byte for byte and reads the
-    arrays only when the two are equal. A missing, stale or damaged sidecar
-    only costs a parse, so deleting it is always safe; a bad CSV never gets
-    one. A sidecar without the copy, written by an older version, is stale:
-    the CSV is parsed once more and the sidecar rewritten. The sidecar takes
-    about 1.4 times the CSV's size on disk. Every load, a parse that writes the
-    sidecar or a sidecar read, holds the cells x 144 load matrix once.
+    A later call reads the arrays while two threads compare the CSV with that
+    copy byte for byte, and returns them only when the two are equal. A
+    missing, stale or damaged sidecar only costs a parse, so deleting it is
+    always safe; a bad CSV never gets one. A sidecar without the copy, written
+    by an older version, is stale: the CSV is parsed once more and the sidecar
+    rewritten. The sidecar takes about 1.4 times the CSV's size on disk. Every
+    load holds the cells x 144 load matrix once; a hit adds 1 MiB of buffers.
     """
     corpus = _read_sidecar(path)
     return corpus if corpus is not None else _parse_and_store(path)

@@ -5,12 +5,12 @@ import hashlib
 import io
 import os
 import re
-import shutil
 import subprocess
 import sys
 import threading
 import tracemalloc
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -458,6 +458,31 @@ def flip_copied_byte(sidecar):
     sidecar.write_bytes(data)
 
 
+def claim_huge_shape(sidecar):
+    # a sound zip whose loads.npy header claims 10**9 rows over the stored rows: 1.05 TiB
+    with zipfile.ZipFile(sidecar) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    stored = io.BytesIO(members["loads.npy"])
+    np.lib.format.read_magic(stored)
+    np.lib.format.read_array_header_1_0(stored)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 144)})
+    members["loads.npy"] = header.getvalue() + members["loads.npy"][stored.tell():]
+    with zipfile.ZipFile(sidecar, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def flip_load_bit(sidecar):
+    # in place: the lowest mantissa bit of a load below 1, so every load stays in
+    # [0, 1] and only the zip CRC of loads.npy tells
+    with np.load(sidecar) as members:
+        loads = members["loads"]
+    data = bytearray(sidecar.read_bytes())
+    data[data.index(loads.tobytes()) + 8 * np.flatnonzero(loads.ravel() < 1.0)[0]] ^= 1
+    sidecar.write_bytes(data)
+
+
 def grow_csv(sidecar):
     with open(sidecar.with_suffix(""), "ab") as fh:
         fh.write(b"\n")
@@ -472,6 +497,8 @@ SIDECAR_DAMAGE = [
     pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda members: members.pop("xy")), id="missing-key"),
     pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda members: members["loads"].__setitem__((1, 2), 1.5)),
                  id="out-of-range"),
+    pytest.param(claim_huge_shape, id="huge-shape"),
+    pytest.param(flip_load_bit, id="array-bit-flipped"),
     pytest.param(flip_copied_byte, id="copy-byte-flipped"),
     pytest.param(lambda sidecar: rewrite_sidecar(sidecar, lambda members: members.__setitem__(
         "csv", members["csv"][:-1])), id="copy-one-byte-short"),
@@ -624,26 +651,79 @@ class TestProfileCacheSidecar:
                 flipped[at] ^= 0x80
                 assert stored(bytes(flipped)) is None, at
 
+    def test_shared_chunks_under_thread_switches(self, tmp_path, monkeypatch):
+        # more comparing threads than cores on one chunk iterator and the same
+        # two files, switching as often as the interpreter allows: each flipped
+        # byte is still found, and equal bytes still compare equal
+        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", 16)
+        data = np.random.default_rng(0).bytes(1 << 16)
+        (tmp_path / "csv").write_bytes(data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with open(tmp_path / "csv", "rb") as csv, open(tmp_path / "copy", "w+b") as copy, \
+                    ThreadPoolExecutor(4) as pool:
+                for at in [None, *range(0, len(data), 4099)]:
+                    stored = bytearray(b"header" + data)
+                    if at is not None:
+                        stored[6 + at] ^= 1
+                    copy.seek(0)
+                    copy.write(stored)
+                    copy.flush()
+                    chunks = iter(range(0, len(data), 16))
+                    compares = [pool.submit(vhetsim.ingest._same_bytes, csv.fileno(), copy.fileno(), 6, len(data),
+                                            chunks) for _ in range(4)]
+                    assert all(compare.result(timeout=30) for compare in compares) == (at is None), at
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_sidecar_replaced_during_the_read_is_not_used(self, tmp_path, monkeypatch):
-        # the arrays and the compared copy must come from one file, so a sidecar
-        # put in place between their two opens is not used, even an identical one
+        # the arrays and the compared copy must come from one file: a sidecar put
+        # in place while the CSV is opened, with other arrays and a copy that is
+        # not the CSV, gives the opened sidecar's corpus or None, never a mix
         path = self.write_cache(tmp_path)
         load_profile_cache(path)
         sidecar = tmp_path / "cache.csv.npz"
+        other = random_corpus(9)
         opened = []
 
         def replacing_open(file, *args, **kwargs):
-            if os.fspath(file) == os.fspath(sidecar) and opened:
-                shutil.copy(sidecar, tmp_path / "new.npz")
+            if os.fspath(file) == os.fspath(path):
+                write_sidecar(tmp_path / "new.npz", csv=b"not the CSV", ids=other.ids, xy=other.xy, loads=other.loads)
                 os.replace(tmp_path / "new.npz", sidecar)
-            opened.append(file)
+            opened.append(os.fspath(file))
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr(vhetsim.ingest, "open", replacing_open, raising=False)
-        assert _read_sidecar(path) is None
-        assert len(opened) == 3     # the sidecar, the CSV, the sidecar again
+        corpus = _read_sidecar(path)
+        assert opened == [os.fspath(sidecar), os.fspath(path)]     # the sidecar is opened once
+        assert corpus is None or corpus == small_corpus()
         monkeypatch.undo()
+        assert _read_sidecar(path) is None      # the new sidecar's copy is not the CSV
+
+    def test_calling_thread_compares_its_share(self, tmp_path, monkeypatch):
+        # with a helper that takes no chunk, this thread compares them all, and
+        # its result alone must tell a byte flipped at either end of the CSV
+        same_bytes, helpers = vhetsim.ingest._same_bytes, []
+
+        def idle_helper(*args):
+            if threading.current_thread() is threading.main_thread():
+                return same_bytes(*args)
+            helpers.append(args)
+            return True
+
+        monkeypatch.setattr(vhetsim.ingest, "_CHUNK", 1000)
+        path = self.write_cache(tmp_path)
+        load_profile_cache(path)
+        monkeypatch.setattr(vhetsim.ingest, "_same_bytes", idle_helper)
+        data = path.read_bytes()
         assert _read_sidecar(path) == small_corpus()
+        for at in (0, len(data) - 1):
+            flipped = bytearray(data)
+            flipped[at] ^= 0x80
+            path.write_bytes(flipped)
+            assert _read_sidecar(path) is None, at
+        assert len(helpers) == 3
 
     def test_sidecar_of_the_earlier_tree_key_is_parsed_once_and_rewritten(self, tmp_path, monkeypatch):
         # the sidecar that the sha256-tree key wrote for this CSV of 1 735 785
@@ -774,14 +854,24 @@ class TestLoadMemory:
         assert corpus == random_corpus(2000) == load_profile_cache(path)
 
     def test_sidecar_hit_holds_the_loads_once(self, tmp_path, monkeypatch):
-        # the compare's two 512 KiB chunk buffers are a fixed cost, which
-        # 8 000 cells keep within the quarter
+        # the compare's chunk buffers, 1 MiB over both threads, are a fixed
+        # cost, which 8 000 cells keep within the quarter
         path = tmp_path / "cache.csv"
         save_profile_cache(random_corpus(8000), path)
         load_profile_cache(path)
         TestProfileCacheSidecar.forbid_parse(monkeypatch)
         corpus, peak = traced_peak(lambda: load_profile_cache(path))
         assert peak <= 1.25 * corpus.loads.nbytes
+
+    def test_sidecar_hit_overhead_is_bounded(self, tmp_path, monkeypatch):
+        # a hit adds to the loads only the ids, the positions and the compare's
+        # four 256 KiB chunk buffers, 1.1 MB at 2 000 cells
+        path = tmp_path / "cache.csv"
+        save_profile_cache(random_corpus(2000), path)
+        load_profile_cache(path)
+        TestProfileCacheSidecar.forbid_parse(monkeypatch)
+        corpus, peak = traced_peak(lambda: load_profile_cache(path))
+        assert peak <= corpus.loads.nbytes + 1.25 * 2**20
 
     def test_cdr_ingest_holds_its_totals_once(self, tmp_path):
         records = [(square, slot * 600_000, 39, 1.0 + square + slot) for square in range(1, 10) for slot in range(144)]
