@@ -77,19 +77,21 @@ def _sweep(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = apply_overrides(config, {"seed": args.seed})
-    out = make_output_dir(args.out)
     keys = [key for key, _ in args.vary]
-    value_lists = [values for _, values in args.vary]
-    results = []
-    corpora = {}
-    for combo in itertools.product(*value_lists):
+    # every point resolves and every corpus loads before the first run, so a bad
+    # point leaves no runs behind; points that resolve to the same corpus share one load
+    points, corpora = [], {}
+    for combo in itertools.product(*(values for _, values in args.vary)):
         overrides = dict(zip(keys, combo))
         run_config = apply_overrides(config, overrides)
-        # points that resolve to the same corpus share one load
         source = (run_config.dataset, run_config.synth, run_config.grid_side, run_config.cell_size_m)
         if source not in corpora:
             corpora[source] = load_corpus(run_config)
-        report = run_experiment(run_config, corpora[source])
+        points.append((overrides, run_config, corpora[source]))
+    out = make_output_dir(args.out)
+    results = []
+    for overrides, run_config, corpus in points:
+        report = run_experiment(run_config, corpus)
         emit_report(report, out / f"run_{run_label(overrides.items())}")
         results.append((overrides, report))
     paths = emit_sweep(results, keys[0], out)

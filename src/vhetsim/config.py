@@ -60,6 +60,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset is None and self.synth is None:
             raise ConfigError("either 'dataset' or 'synth' is required")
+        if self.optimizer == "exhaustive" and self.sbs_count > self.exhaustive_limit:
+            raise ConfigError(f"optimizer 'exhaustive' enumerates 3^sbs_count decisions: sbs_count "
+                              f"{self.sbs_count} is above exhaustive_limit {self.exhaustive_limit}")
 
     def to_yaml(self) -> str:
         """Canonical serialization; byte-stable for a fixed resolved config."""

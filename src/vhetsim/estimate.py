@@ -63,52 +63,31 @@ class Neighbor(NamedTuple):
     load: float
 
 
-def _copied(ids, distances, loads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New int64 ids and float64 distances and loads, so the caller's arrays may change later."""
-    return np.array(ids, dtype=np.int64), np.array(distances, dtype=np.float64), np.array(loads, dtype=np.float64)
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class NeighborSet:
     """A target's neighbours in rank order, as three read-only arrays that the
     set owns: `ids`, `distances` and `loads`.
 
-    Built from `Neighbor` tuples, `NeighborSet((Neighbor(...), ...))`, or from
-    arrays with `NeighborSet.from_arrays`; either copies its input.
-    `neighbors` gives the `Neighbor` tuples back.
+    `NeighborSet(ids, distances, loads)` copies its inputs into int64 ids and
+    float64 distances and loads, so the caller's arrays may change later.
+    `neighbors` gives them back as `Neighbor` tuples.
     """
 
     ids: np.ndarray
     distances: np.ndarray
     loads: np.ndarray
 
-    def __init__(self, neighbors=()):
-        neighbors = tuple(neighbors)
-        self._fill(*_copied([n.cell_id for n in neighbors], [n.distance for n in neighbors],
-                            [n.load for n in neighbors]))
-
-    @classmethod
-    def from_arrays(cls, ids, distances, loads) -> NeighborSet:
-        return cls._adopt(*_copied(ids, distances, loads))
-
-    @classmethod
-    def _adopt(cls, ids: np.ndarray, distances: np.ndarray, loads: np.ndarray) -> NeighborSet:
-        """A set that takes the three arrays as they are and makes them read-only:
-        int64 ids and float64 distances and loads that no one else holds."""
-        neighbor_set = cls.__new__(cls)
-        neighbor_set._fill(ids, distances, loads)
-        return neighbor_set
-
-    def _fill(self, ids: np.ndarray, distances: np.ndarray, loads: np.ndarray) -> None:
-        if not ids.ndim == distances.ndim == loads.ndim == 1:
-            raise ValueError("neighbor arrays must be one-dimensional")
-        if not len(ids) == len(distances) == len(loads):
-            raise ValueError("neighbor arrays must have one entry per neighbor")
-        if (distances <= 0).any():
-            raise DegenerateDistanceError("neighbor distances must be > 0")
-        for name, values in (("ids", ids), ("distances", distances), ("loads", loads)):
+    def __post_init__(self):
+        for name, dtype in (("ids", np.int64), ("distances", np.float64), ("loads", np.float64)):
+            values = np.array(getattr(self, name), dtype=dtype)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        if not self.ids.ndim == self.distances.ndim == self.loads.ndim == 1:
+            raise ValueError("neighbor arrays must be one-dimensional")
+        if not len(self.ids) == len(self.distances) == len(self.loads):
+            raise ValueError("neighbor arrays must have one entry per neighbor")
+        if (self.distances <= 0).any():
+            raise DegenerateDistanceError("neighbor distances must be > 0")
 
     @property
     def neighbors(self) -> tuple[Neighbor, ...]:
@@ -200,7 +179,7 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
     ranked = sorted(zip(_hypot(pool, candidates, target), pool.ids[candidates].tolist(),
                         candidates.tolist()))[:n_neighbors]
     rows = np.array([row for _, _, row in ranked], dtype=np.intp)
-    return NeighborSet.from_arrays(pool.ids[rows], [d for d, _, _ in ranked], pool.loads[rows])
+    return NeighborSet(pool.ids[rows], [d for d, _, _ in ranked], pool.loads[rows])
 
 
 def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> NeighborSet:
@@ -213,7 +192,7 @@ def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> Neigh
         )
     rng = np.random.default_rng(seed)
     rows = others[rng.choice(len(others), size=n_neighbors, replace=False)]
-    return NeighborSet.from_arrays(pool.ids[rows], _hypot(pool, rows, target), pool.loads[rows])
+    return NeighborSet(pool.ids[rows], _hypot(pool, rows, target), pool.loads[rows])
 
 
 def estimate_mean(neighbors: NeighborSet) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ from .errors import InsufficientNeighborsError, SimulationError
 from .estimate import (CellLoad, CellPool, NeighborSet, estimate_mean, estimate_weighted, mlc_estimate,
                        rank_neighbors, select_random)
 from .ingest import Corpus, ingest_dataset, load_profile_cache, synth_traffic
-from .metrics import ThresholdPolicy, decision_change_rate, empirical_p_err, mean_estimation_error
+from .metrics import decision_change_rate, empirical_p_err, mean_estimation_error
 from .power import BaseStation, Network, NetworkLoadState, Tier
 from .switching import HAPS, MBS, optimize_exhaustive, optimize_greedy
 
@@ -45,7 +46,6 @@ class ExperimentReport:
     rows: list[SlotRow]
     config_echo: str
     seed: int
-    solver_used: str
     version: str = __version__
     skipped_zero_load: int = 0
 
@@ -63,7 +63,6 @@ class ExperimentReport:
             "rows": len(self.rows),
             "aggregates": aggregates,
             "skipped_zero_load_samples": self.skipped_zero_load,
-            "solver_used": self.solver_used,
             "seed": self.seed,
             "version": self.version,
         }
@@ -114,8 +113,7 @@ class _NearestCells:
             raise InsufficientNeighborsError(f"need {n} active cells, only {len(kept)} available")
         kept = kept[:n]
         rows = rows[kept]
-        # fancy indexing gives new arrays, which the set adopts without copying
-        return NeighborSet._adopt(self.corpus.ids[rows], distances[kept], self.corpus.loads[rows, slot])
+        return NeighborSet(self.corpus.ids[rows], distances[kept], self.corpus.loads[rows, slot])
 
 
 def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,
@@ -160,8 +158,12 @@ def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,
 def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> ExperimentReport:
     """Run the full experiment; fully deterministic for a fixed config + seed.
 
-    `corpus` is the result of `load_corpus(config)` when the caller already
-    holds it, as a sweep does for the points that share one corpus.
+    Every slot is solved twice, on the true and on the estimated loads, by the
+    configured optimizer: this module's `optimize_greedy` or `optimize_exhaustive`,
+    looked up when the call starts. The config refuses an exhaustive run above
+    `exhaustive_limit`, so no run switches solvers. `corpus` is the result of
+    `load_corpus(config)` when the caller already holds it, as a sweep does for
+    the points that share one corpus.
     """
     if corpus is None:
         corpus = load_corpus(config)
@@ -172,16 +174,10 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
         )
     s = config.sbs_count
     sinks = (HAPS,) if config.offload_sinks == "HAPS_only" else (HAPS, MBS)
-    solver_used = config.optimizer
-    if config.optimizer == "exhaustive" and s > config.exhaustive_limit:
-        solver_used = "greedy"
-
-    def solve(net, loads):
-        if solver_used == "exhaustive":
-            return optimize_exhaustive(net, loads, sinks=sinks, limit=config.exhaustive_limit)
-        return optimize_greedy(net, loads, sinks=sinks)
-
-    policy = ThresholdPolicy(config.lambda_th)
+    if config.optimizer == "exhaustive":
+        solve = partial(optimize_exhaustive, sinks=sinks, limit=config.exhaustive_limit)
+    else:
+        solve = partial(optimize_greedy, sinks=sinks)
     nearest = _NearestCells(corpus, min(config.estimator.neighbor_count + s - 1, len(corpus) - 1))
     iter_seeds = np.random.SeedSequence(config.seed).spawn(config.iteration_count)
     rows: list[SlotRow] = []
@@ -214,7 +210,7 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
                 pairs = [(true_loads[j], estimates[j]) for j in sleepers]
                 eps, skipped = mean_estimation_error(pairs) if pairs else (0.0, 0)
                 skipped_total += skipped
-                p_off_on, p_on_off = empirical_p_err(pairs, policy)
+                p_off_on, p_on_off = empirical_p_err(pairs, config.lambda_th)
                 rows.append(SlotRow(
                     iteration, slot, eps, p_true, p_est, decision_change_rate(decision.delta, decision_est.delta),
                     math.nan if p_off_on is None else p_off_on, math.nan if p_on_off is None else p_on_off,
@@ -225,6 +221,5 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
         rows=rows,
         config_echo=config.to_yaml(),
         seed=config.seed,
-        solver_used=solver_used,
         skipped_zero_load=skipped_total,
     )

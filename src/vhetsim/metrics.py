@@ -3,20 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import UndefinedRatioError
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Wake-up threshold on the estimated load factor."""
-
-    lambda_th: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda_th < 1.0:
-            raise ValueError("lambda_th must lie strictly inside (0, 1)")
 
 
 def estimation_error(lambda_true: float, lambda_hat: float) -> float:
@@ -51,26 +39,28 @@ def decision_change_rate(bits_true, bits_est) -> float:
     return sum(a != b for a, b in zip(bits_true, bits_est)) / len(bits_true)
 
 
-def empirical_p_err(samples, policy: ThresholdPolicy) -> tuple[float | None, float | None]:
-    """Empirical over/under-estimation probabilities around the threshold.
+def empirical_p_err(samples, lambda_th: float) -> tuple[float | None, float | None]:
+    """Empirical over/under-estimation probabilities around the wake-up threshold.
 
-    samples: iterable of (lambda_true, lambda_hat). Returns (p_off_on,
+    samples: iterable of (lambda_true, lambda_hat); lambda_th: the threshold on
+    the load factor, strictly inside (0, 1), else ValueError. Returns (p_off_on,
     p_on_off); a component is None when its conditioning event never occurs.
 
-    p_off_on conditions on truly-low cells (lambda_true <= th) and counts
+    p_off_on conditions on truly-low cells (lambda_true <= lambda_th) and counts
     estimates strictly above the threshold; p_on_off conditions on truly-high
-    cells (lambda_true >= th) and counts estimates strictly below it.
+    cells (lambda_true >= lambda_th) and counts estimates strictly below it.
     """
+    if not 0.0 < lambda_th < 1.0:
+        raise ValueError("lambda_th must lie strictly inside (0, 1)")
     low_total = low_wrong = high_total = high_wrong = 0
-    th = policy.lambda_th
     for lam, lam_hat in samples:
-        if lam <= th:
+        if lam <= lambda_th:
             low_total += 1
-            if lam_hat > th:
+            if lam_hat > lambda_th:
                 low_wrong += 1
-        if lam >= th:
+        if lam >= lambda_th:
             high_total += 1
-            if lam_hat < th:
+            if lam_hat < lambda_th:
                 high_wrong += 1
     p_off_on = low_wrong / low_total if low_total else None
     p_on_off = high_wrong / high_total if high_total else None

@@ -142,7 +142,7 @@ def test_oracle_sink_filled_to_one():
 def test_criterion_02_weighted_estimator_algebraic_identity():
     rng = np.random.default_rng(7)
     worst = 0.0
-    from vhetsim.estimate import Neighbor, NeighborSet
+    from vhetsim.estimate import NeighborSet
     for _ in range(10_000):
         k = int(rng.integers(2, 10))
         loads = rng.random(k)
@@ -153,8 +153,7 @@ def test_criterion_02_weighted_estimator_algebraic_identity():
         simplified = dists ** (-n)                 # d_max cancels
         a = float(np.dot(loads, w_def) / w_def.sum())
         b = float(np.dot(loads, simplified) / simplified.sum())
-        ns = NeighborSet(tuple(Neighbor(i, float(d), float(l))
-                               for i, (d, l) in enumerate(zip(dists, loads))))
+        ns = NeighborSet(np.arange(k), dists, loads)
         c = estimate_weighted(ns, n)
         worst = max(worst, abs(a - b) / abs(b), abs(c - b) / abs(b))
     verdict(2, worst <= 1e-12,

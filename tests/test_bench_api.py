@@ -132,7 +132,9 @@ def test_bound_parameter_table_covers_the_checks():
 def capture_calls(monkeypatch, names):
     """Wrap `vhetsim.estimate` functions as bench/tracer.py does, replacing every
     reference to each in every loaded vhetsim module; returns each one's calls
-    as (args, kwargs, result)."""
+    as (args, kwargs, result). The whole package is imported first: a module
+    imported while the wrappers are in place would keep them after the test."""
+    importlib.import_module("vhetsim.cli")
     estimate = importlib.import_module("vhetsim.estimate")
     modules = [m for n, m in list(sys.modules.items())
                if (n == "vhetsim" or n.startswith("vhetsim.")) and m is not None]
@@ -274,3 +276,89 @@ def test_solvers_take_and_return_what_the_bench_reads(solver):
             priced = total_power(net, *decision, loads.lambda_sbs, loads.lambda_haps, loads.lambda_mbs)
             assert repr(priced) == repr((result[2], *result[1]))
     assert slept and callable(vhetsim.experiment.optimize_greedy)
+
+
+@pytest.mark.parametrize("optimizer", ["greedy", "exhaustive"])
+def test_run_calls_the_solver_names_the_bench_patches(monkeypatch, optimizer):
+    # bench/daymix.py replaces vhetsim.experiment.optimize_greedy before a run, and
+    # bench/tracer.py replaces both names; a run must call whatever they hold then,
+    # once for the true loads and once for the estimates of every slot
+    import vhetsim.experiment
+    from vhetsim.config import resolve_config
+
+    calls = {"greedy": 0, "exhaustive": 0}
+    for name in calls:
+        solve = getattr(vhetsim.experiment, f"optimize_{name}")
+
+        def counted(net, loads, _solve=solve, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(net, loads, **kwargs)
+
+        monkeypatch.setattr(vhetsim.experiment, f"optimize_{name}", counted)
+    config = resolve_config({"sbs_count": 4, "synth": {"grid_side": 10, "seed": 2}, "iteration_count": 2,
+                             "slot_count": 3, "optimizer": optimizer,
+                             "estimator": {"method": "distance_weighted", "neighbor_count": 5}})
+    vhetsim.experiment.run_experiment(config)
+    assert calls == {name: 2 * 2 * 3 if name == optimizer else 0 for name in calls}
+
+
+def run_level_reads() -> tuple[set, set]:
+    """The rows.csv columns and the summary.json key paths that `run_level` in
+    bench/checks.py subscripts: `rows[...]`, `rows.get(...)` (and the same of
+    `perfect`, the perfect-estimator run), a loop variable over a tuple of
+    column names, and chains of `summary[...]`."""
+    tree = ast.parse((BENCH / "checks.py").read_text(encoding="utf-8"))
+    run_level = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run_level")
+    loops = {node.target.id: [e.value for e in node.iter.elts] for node in ast.walk(run_level)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and isinstance(node.iter, ast.Tuple)}
+    columns, paths = set(), set()
+    for node in ast.walk(run_level):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id in ("rows", "perfect"):
+            key = node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("rows", "perfect"):
+            key = node.args[0]
+        elif isinstance(node, ast.Subscript):
+            keys = []
+            while isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                keys.insert(0, node.slice.value)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "summary":
+                paths.add(tuple(keys))
+            continue
+        else:
+            continue
+        columns.update([key.value] if isinstance(key, ast.Constant) else loops[key.id])
+    return columns, paths
+
+
+def test_outputs_hold_what_the_checks_read(tmp_path):
+    # a column or summary key that run_level subscripts and a run no longer writes
+    # would fail the traced bench run with a KeyError instead of a named check
+    import csv
+    import json
+
+    import yaml
+
+    from vhetsim.cli import main
+
+    columns, paths = run_level_reads()
+    assert {"power_true_w", "p_off_on", "decision_change", "mean_eps"} <= columns
+    assert {("rows",), ("aggregates", "power_true_w", "mean")} <= paths
+    tables = run_tables()
+    raw = {**tables["BASE"], "sbs_count": 4, "synth": {"grid_side": 10, "seed": 2}, "iteration_count": 1,
+           "slot_count": 2, "optimizer": "greedy",
+           "estimator": {"method": "distance_weighted", "neighbor_count": 5, "distance_exponent": 3}}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    assert sorted(columns - set(header)) == []
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    for path in sorted(paths):
+        node = summary
+        for key in path:
+            assert isinstance(node, dict) and key in node, path
+            node = node[key]

@@ -108,40 +108,32 @@ class TestNeighborSet:
         return np.array([4, 9, 2]), np.array([1.5, 2.0, 3.25]), np.array([0.25, 0.5, 1.0])
 
     def test_arrays_equal_tuples(self):
-        ns = NeighborSet.from_arrays(*self.arrays())
-        assert ns == NeighborSet(self.NEIGHBORS)
-        assert ns != NeighborSet(self.NEIGHBORS[:2])
-        assert ns != NeighborSet(self.NEIGHBORS[:2] + (Neighbor(2, 3.25, 0.75),))
+        ns = NeighborSet(*self.arrays())
+        assert ns.neighbors == self.NEIGHBORS
+        assert ns == NeighborSet([4, 9, 2], [1.5, 2.0, 3.25], [0.25, 0.5, 1.0])
+        assert ns != NeighborSet([4, 9], [1.5, 2.0], [0.25, 0.5])
+        assert ns != NeighborSet([4, 9, 2], [1.5, 2.0, 3.25], [0.25, 0.5, 0.75])
 
     def test_source_arrays_may_change(self):
         ids, distances, loads = self.arrays()
-        ns = NeighborSet.from_arrays(ids, distances, loads)
+        ns = NeighborSet(ids, distances, loads)
         ids[0], distances[0], loads[0] = 7, 9.0, 0.0
         assert ns.neighbors == self.NEIGHBORS
 
     @pytest.mark.parametrize("name", ["ids", "distances", "loads"])
     def test_read_only(self, name):
-        ns = NeighborSet.from_arrays(*self.arrays())
+        ns = NeighborSet(*self.arrays())
         with pytest.raises(ValueError, match="read-only"):
             getattr(ns, name)[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ns, name, np.zeros(3))
         assert ns.neighbors == self.NEIGHBORS
 
-    def test_adopted_arrays_are_read_only(self):
-        ids, distances, loads = self.arrays()
-        ns = NeighborSet._adopt(ids, distances, loads)
-        assert ns.ids is ids and ns.distances is distances and ns.loads is loads
-        for array in (ids, distances, loads):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
-        assert ns == NeighborSet(self.NEIGHBORS)
-
     def test_neighbors_round_trip(self):
-        ns = NeighborSet.from_arrays(*self.arrays())
+        ns = NeighborSet(*self.arrays())
         assert ns.neighbors == self.NEIGHBORS
         assert [tuple(map(type, nb)) for nb in ns.neighbors] == [(int, float, float)] * 3
-        assert NeighborSet(ns.neighbors) == ns
+        assert NeighborSet(*zip(*ns.neighbors)) == ns
         assert ns.ids.dtype == np.int64 and ns.distances.dtype == ns.loads.dtype == np.float64
 
     @pytest.mark.parametrize("distance", [0.0, -1.0])
@@ -149,13 +141,20 @@ class TestNeighborSet:
         ids, distances, loads = self.arrays()
         distances[1] = distance
         with pytest.raises(DegenerateDistanceError):
-            NeighborSet.from_arrays(ids, distances, loads)
-        with pytest.raises(DegenerateDistanceError):
-            NeighborSet._adopt(ids, distances, loads)
-        with pytest.raises(DegenerateDistanceError):
-            NeighborSet(self.NEIGHBORS[:1] + (Neighbor(9, distance, 0.5),))
+            NeighborSet(ids, distances, loads)
 
-    @pytest.mark.parametrize("empty", [NeighborSet(()), NeighborSet.from_arrays([], [], [])])
+    @pytest.mark.parametrize("arrays", [
+        ([4, 9], [1.5, 2.0, 3.25], [0.25, 0.5, 1.0]),
+        ([4, 9, 2], [1.5, 2.0, 3.25], [0.25, 0.5]),
+        ([[4, 9, 2]], [[1.5, 2.0, 3.25]], [[0.25, 0.5, 1.0]]),
+    ], ids=["short-ids", "short-loads", "two-dimensional"])
+    def test_misshapen_arrays_raise(self, arrays):
+        with pytest.raises(ValueError, match="neighbor arrays must"):
+            NeighborSet(*arrays)
+
+    # sequences and arrays alike
+    @pytest.mark.parametrize("empty", [NeighborSet([], [], []),
+                                       NeighborSet(np.empty(0, dtype=int), np.empty(0), np.empty(0))])
     def test_empty_set_raises_in_both_estimators(self, empty):
         with pytest.raises(InsufficientNeighborsError):
             estimate_mean(empty)
@@ -165,38 +164,38 @@ class TestNeighborSet:
 
 class TestEstimateMean:
     def test_constant(self):
-        ns = NeighborSet(tuple(Neighbor(i, float(i), 0.5) for i in (1, 2, 3)))
+        ns = NeighborSet([1, 2, 3], [1.0, 2.0, 3.0], [0.5] * 3)
         assert estimate_mean(ns) == 0.5
 
     def test_hand_mean(self):
-        ns = NeighborSet((Neighbor(1, 1.0, 0.2), Neighbor(2, 2.0, 0.4), Neighbor(3, 3.0, 0.9)))
+        ns = NeighborSet([1, 2, 3], [1.0, 2.0, 3.0], [0.2, 0.4, 0.9])
         assert estimate_mean(ns) == pytest.approx(0.5)
 
     def test_single(self):
-        ns = NeighborSet((Neighbor(1, 1.0, 0.37),))
+        ns = NeighborSet([1], [1.0], [0.37])
         assert estimate_mean(ns) == 0.37
 
     def test_empty(self):
         with pytest.raises(InsufficientNeighborsError):
-            estimate_mean(NeighborSet(()))
+            estimate_mean(NeighborSet([], [], []))
 
 
 class TestEstimateWeighted:
     def test_constant_loads(self):
-        ns = NeighborSet((Neighbor(1, 1.0, 0.4), Neighbor(2, 9.0, 0.4)))
+        ns = NeighborSet([1, 2], [1.0, 9.0], [0.4, 0.4])
         for n in (1.0, 3.0, 10.0, 50.0):
             assert estimate_weighted(ns, n) == pytest.approx(0.4)
 
     def test_hand_value(self):
-        ns = NeighborSet((Neighbor(1, 1.0, 0.2), Neighbor(2, 2.0, 0.4)))
+        ns = NeighborSet([1, 2], [1.0, 2.0], [0.2, 0.4])
         assert estimate_weighted(ns, 1.0) == pytest.approx(0.8 / 3)
 
     def test_large_exponent_limits_to_nearest(self):
-        ns = NeighborSet((Neighbor(1, 1.0, 0.2), Neighbor(2, 2.0, 0.4)))
+        ns = NeighborSet([1, 2], [1.0, 2.0], [0.2, 0.4])
         assert estimate_weighted(ns, 50.0) == pytest.approx(0.2, abs=1e-9)
 
     def test_huge_exponent_no_overflow(self):
-        ns = NeighborSet((Neighbor(1, 100.0, 0.2), Neighbor(2, 5000.0, 0.9)))
+        ns = NeighborSet([1, 2], [100.0, 5000.0], [0.2, 0.9])
         assert estimate_weighted(ns, 500.0) == pytest.approx(0.2)
 
     def test_convex_combination_bound(self):
@@ -205,8 +204,7 @@ class TestEstimateWeighted:
             k = rng.integers(2, 12)
             loads = rng.random(k)
             dists = rng.random(k) * 1000 + 1
-            ns = NeighborSet(tuple(Neighbor(i, float(d), float(l))
-                                   for i, (d, l) in enumerate(zip(dists, loads))))
+            ns = NeighborSet(np.arange(k), dists, loads)
             n = float(rng.random() * 12 + 0.1)
             out = estimate_weighted(ns, n)
             assert loads.min() <= out <= loads.max()
@@ -218,8 +216,7 @@ class TestEstimateWeighted:
             k = int(rng.integers(2, 8))
             loads = rng.random(k)
             dists = rng.random(k) * 900 + 10
-            ns = NeighborSet(tuple(Neighbor(i, float(d), float(l))
-                                   for i, (d, l) in enumerate(zip(dists, loads))))
+            ns = NeighborSet(np.arange(k), dists, loads)
             n = float(rng.random() * 8 + 0.2)
             w = dists.max() / dists ** n
             reference = float(np.dot(loads, w) / w.sum())

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gzip
 import json
 import math
@@ -166,10 +167,18 @@ class TestRunExperiment:
         with pytest.raises(SimulationError):
             run_experiment(resolve_config(raw))
 
-    def test_exhaustive_falls_back_above_limit(self):
-        raw = base_raw(optimizer="exhaustive", exhaustive_limit=2)
-        report = run_experiment(resolve_config(raw))
-        assert report.solver_used == "greedy"
+    def test_exhaustive_above_limit_refused(self):
+        # the config refuses the run instead of the run switching to greedy
+        message = "sbs_count 3 is above exhaustive_limit 2"
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(base_raw(optimizer="exhaustive", exhaustive_limit=2))
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(resolve_config(base_raw(optimizer="exhaustive")), {"exhaustive_limit": 2})
+        at_limit = resolve_config(base_raw(optimizer="exhaustive", exhaustive_limit=3))
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(at_limit, exhaustive_limit=2)
+        assert len(run_experiment(at_limit).rows) == 4
+        assert resolve_config(base_raw(optimizer="greedy", exhaustive_limit=2)).exhaustive_limit == 2
 
     def test_summary_recomputable_from_rows(self):
         report = run_experiment(resolve_config(base_raw()))
@@ -198,7 +207,7 @@ class TestReporting:
         assert abs(summary["aggregates"]["mean_eps"]["mean"] - sum(eps) / len(eps)) < 1e-9
 
     def test_empty_report_header_only(self, tmp_path):
-        report = ExperimentReport(rows=[], config_echo="{}\n", seed=0, solver_used="greedy")
+        report = ExperimentReport(rows=[], config_echo="{}\n", seed=0)
         paths = emit_report(report, tmp_path / "empty")
         text = paths["rows"].read_text(encoding="utf-8")
         assert text == ("iteration,slot,mean_eps,power_true_w,power_est_w,"
@@ -208,7 +217,7 @@ class TestReporting:
     def test_outputs_follow_slot_row(self, tmp_path, ran):
         # the rows.csv header and the summary's aggregates are SlotRow's fields
         report = (run_experiment(resolve_config(base_raw())) if ran else
-                  ExperimentReport(rows=[], config_echo="{}\n", seed=0, solver_used="greedy"))
+                  ExperimentReport(rows=[], config_echo="{}\n", seed=0))
         paths = emit_report(report, tmp_path / "out")
         with open(paths["rows"], newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
@@ -481,6 +490,19 @@ class TestCli:
             swept = tmp_path / "s" / f"run_estimator-method={method}"
             for name in ("rows", "summary"):
                 assert (swept / alone[name].name).read_bytes() == alone[name].read_bytes()
+
+    @pytest.mark.parametrize("optimizer, vary, message", [
+        ("greedy", "sbs_count=3,20,abc", "error: sbs_count must be an integer, got 'abc'\n"),
+        ("exhaustive", "sbs_count=3,20", "error: optimizer 'exhaustive' enumerates 3^sbs_count decisions: "
+                                         "sbs_count 20 is above exhaustive_limit 14\n"),
+    ], ids=["bad-third-value", "exhaustive-above-limit"])
+    def test_sweep_bad_point_runs_nothing(self, tmp_path, capsys, optimizer, vary, message):
+        # every point resolves before the first run, so a bad later point writes nothing
+        out = tmp_path / "sweep"
+        cfg = self.write_config(tmp_path, base_raw(optimizer=optimizer))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--vary", vary]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw.update(sbs_count="abc"), "sbs_count must be an integer, got 'abc'"),

@@ -55,23 +55,23 @@ CONFIGS = {
 
 GOLDEN = {
     "distance_weighted": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                          "e65446a772e172e13a30638c1b3fa6f4c936a5be11dae42e926ac71bed7fb071"),
+                          "e905fab6c865d073bb70fb866bacfa03ae6ade5f03e6a70d222ab34c0349116d"),
     "distance_unweighted": ("048b89882ff1585a266c647014ab0a692b67428aced67fb22504334ad469596c",
-                            "d4926387c347a84c994bf0ed71507ccf626cdb275294c3ac37db3a9f84c8c875"),
+                            "ec838a90daa13a637bd7be78e68c580b5d8c11cfa579573acc7d0c65c278c3f0"),
     "random_weighted": ("af94169e770521a2833a0399dc440de1b6c2c0953ebbe0943b84277a1474b5dc",
-                        "4e87526efb84843b77afd13baa41774e2a5f418fedf7056e98b42a89d4540026"),
+                        "98b35799d94e82e4062ef3ba2ad1676e6c2a105e5704378aedcd6b829e3f331b"),
     "random_unweighted": ("6be58065d71bf25868f5f53bf378e694cb65a8bddda6bacbdd4120d94faeea5f",
-                          "0f05d2946e4cc5b62b386be5cd4e75dd134c77a1397e3e3d97399bb038b57925"),
+                          "1f1987f127c74d3932d827a281dd53faac46848f78332f2300d6325558ba1eec"),
     "mlc_elbow_l2": ("2af24f84edb4e7ca49a27acf4803420b235e021dd496047d738dbaa4c6eaa1ca",
-                     "f55a4226c61ab60466f9f47721e0f1fe56a4f9626751bc86e37f7c3bd909e6fe"),
+                     "6d3b41c2c8fbbbab5a68220e1982760d812993f4d45c19b4573a4d021cb1ae2a"),
     "mlc_profile": ("42f3ef3736dcbae5a0eac9002a8142830a57a8fa64a5e0e8190e19958093645e",
-                    "7b279d0b7d7dfb4b86c0086b27bf43d65f5f50d1884888f1ee8c9b67cb0a7704"),
+                    "e58185ba1b97642bee4179561a902384204399d54ef51bfe052f4c51423c51ad"),
     # the exhaustive solver finds the greedy decisions on every slot here
     "exhaustive_s5": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                      "686a86c08b54d4fcded8f4b81c2a9e6e7a429fb71429780cae29a4afd99b6536"),
+                      "3e52e45d48534056ce44aa7ce39122e87ee726b4646eeeddfca1400c83c1de42"),
     # same rows as distance_weighted: the cache holds the same corpus
     "cache_distance_weighted": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                                "0fd133f75bc0787051fcd3ea51bc939644f27a55909fa16ebaa2a583ff11bdca"),
+                                "ffb709fa7f157575ec0aba2ee471cbc6e2a5a3e24cddda23576b3adb46454979"),
 }
 
 

@@ -92,7 +92,8 @@ def sorted_rank_neighbors(target, cells, n_neighbors):
     )
     if len(candidates) < n_neighbors:
         raise InsufficientNeighborsError("too few cells")
-    return NeighborSet(tuple(candidates[:n_neighbors]))
+    kept = candidates[:n_neighbors]
+    return NeighborSet([nb.cell_id for nb in kept], [nb.distance for nb in kept], [nb.load for nb in kept])
 
 
 def loop_plus_plus_init(pts, g, rng):
@@ -454,7 +455,7 @@ def object_path_estimates(corpus, sbs_rows, sleepers, slot, spec, ranked):
     """The sleepers' estimates as the pipeline made them while neighbour sets held
     objects: each SBS cell's `sorted_rank_neighbors` over the whole corpus (kept in
     `ranked`), its first N active cells as `Neighbor` tuples, a `NeighborSet` of
-    those, and `estimate_weighted` or `estimate_mean` on it."""
+    their fields, and `estimate_weighted` or `estimate_mean` on it."""
     count = min(spec.neighbor_count + len(sbs_rows) - 1, len(corpus) - 1)
     row_of = {cell_id: row for row, cell_id in enumerate(corpus.ids.tolist())}
     sleeper_rows = {sbs_rows[j] for j in sleepers}
@@ -467,8 +468,8 @@ def object_path_estimates(corpus, sbs_rows, sleepers, slot, spec, ranked):
                      for cell_id, (cx, cy) in zip(corpus.ids.tolist(), corpus.xy.tolist())]
             ranked[row] = sorted_rank_neighbors(CellLoad(int(corpus.ids[row]), (x, y), 0.0), cells, count).neighbors
         kept = [nb for nb in ranked[row] if row_of[nb.cell_id] not in sleeper_rows][:spec.neighbor_count]
-        neighbors = NeighborSet(tuple(Neighbor(nb.cell_id, nb.distance, float(corpus.loads[row_of[nb.cell_id], slot]))
-                                      for nb in kept))
+        neighbors = NeighborSet([nb.cell_id for nb in kept], [nb.distance for nb in kept],
+                                [float(corpus.loads[row_of[nb.cell_id], slot]) for nb in kept])
         if spec.method == "distance_weighted":
             out[j] = estimate_weighted(neighbors, spec.distance_exponent)
         else:

@@ -6,7 +6,6 @@ import pytest
 
 from vhetsim.errors import UndefinedRatioError
 from vhetsim.metrics import (
-    ThresholdPolicy,
     decision_change_rate,
     empirical_p_err,
     estimation_error,
@@ -83,38 +82,38 @@ class TestDecisionChangeRate:
 
 
 class TestThresholdPolicy:
-    """An estimate turns a truly-low cell ON iff it strictly exceeds the threshold."""
+    """The wake-up rule `empirical_p_err` applies: an estimate turns a truly-low
+    cell ON iff it strictly exceeds the threshold `lambda_th`."""
 
     def test_boundary_is_off(self):
-        policy = ThresholdPolicy(0.1)
-        assert empirical_p_err([(0.05, 0.1)], policy) == (0.0, None)
+        assert empirical_p_err([(0.05, 0.1)], 0.1) == (0.0, None)
 
     def test_high_is_on(self):
-        assert empirical_p_err([(0.05, 1.0)], ThresholdPolicy(0.1)) == (1.0, None)
+        assert empirical_p_err([(0.05, 1.0)], 0.1) == (1.0, None)
 
     def test_low_is_off(self):
-        assert empirical_p_err([(0.05, 0.05)], ThresholdPolicy(0.1)) == (0.0, None)
+        assert empirical_p_err([(0.05, 0.05)], 0.1) == (0.0, None)
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            ThresholdPolicy(0.0)
-        with pytest.raises(ValueError):
-            ThresholdPolicy(1.0)
+        # refused before the samples are read, so an empty list is refused too
+        for samples, lambda_th in itertools.product([[], [(0.05, 0.5)]], [0.0, 1.0, -0.5, math.nan]):
+            with pytest.raises(ValueError, match="lambda_th"):
+                empirical_p_err(samples, lambda_th)
 
 
 class TestEmpiricalPErr:
     def test_perfect_estimation(self):
         samples = [(0.05, 0.05), (0.5, 0.5), (0.9, 0.9)]
-        assert empirical_p_err(samples, ThresholdPolicy(0.1)) == (0.0, 0.0)
+        assert empirical_p_err(samples, 0.1) == (0.0, 0.0)
 
     def test_hand_off_on(self):
         samples = [(0.05, 0.2), (0.05, 0.05)]
-        p_off_on, p_on_off = empirical_p_err(samples, ThresholdPolicy(0.1))
+        p_off_on, p_on_off = empirical_p_err(samples, 0.1)
         assert p_off_on == pytest.approx(0.5)
         assert p_on_off is None
 
     def test_no_high_samples_undefined(self):
-        _, p_on_off = empirical_p_err([(0.01, 0.02)], ThresholdPolicy(0.1))
+        _, p_on_off = empirical_p_err([(0.01, 0.02)], 0.1)
         assert p_on_off is None
 
     def test_noise_far_from_threshold_gives_zero(self):
@@ -124,10 +123,10 @@ class TestEmpiricalPErr:
         for _ in range(500):
             lam = rng.choice([0.02, 0.9])  # both more than u away from 0.3
             samples.append((lam, min(1.0, max(0.0, lam + rng.uniform(-u, u)))))
-        assert empirical_p_err(samples, ThresholdPolicy(0.3)) == (0.0, 0.0)
+        assert empirical_p_err(samples, 0.3) == (0.0, 0.0)
 
     def test_boundary_conventions(self):
-        th = ThresholdPolicy(0.1)
+        th = 0.1
         # lambda_true == th conditions both events; lambda_hat == th triggers neither
         p_off_on, p_on_off = empirical_p_err([(0.1, 0.1)], th)
         assert p_off_on == 0.0 and p_on_off == 0.0
