@@ -78,21 +78,29 @@ def _sweep(args) -> int:
     if args.seed is not None:
         config = apply_overrides(config, {"seed": args.seed})
     keys = [key for key, _ in args.vary]
+    for k, key in enumerate(keys):
+        if key in keys[:k]:
+            raise SimulationError(f"--vary gives '{key}' twice")
     # every point resolves and every corpus loads before the first run, so a bad
     # point leaves no runs behind; points that resolve to the same corpus share one load
-    points, corpora = [], {}
+    points, corpora = {}, {}
     for combo in itertools.product(*(values for _, values in args.vary)):
         overrides = dict(zip(keys, combo))
+        label = run_label(overrides.items())
         run_config = apply_overrides(config, overrides)
+        # one label is one run directory, and one resolved config one run
+        twin = next((other for other, (_, seen, _) in points.items() if other == label or seen == run_config), None)
+        if twin is not None:
+            raise SimulationError(f"sweep points '{twin}' and '{label}' are the same run")
         source = (run_config.dataset, run_config.synth, run_config.grid_side, run_config.cell_size_m)
         if source not in corpora:
             corpora[source] = load_corpus(run_config)
-        points.append((overrides, run_config, corpora[source]))
+        points[label] = (overrides, run_config, corpora[source])
     out = make_output_dir(args.out)
     results = []
-    for overrides, run_config, corpus in points:
+    for label, (overrides, run_config, corpus) in points.items():
         report = run_experiment(run_config, corpus)
-        emit_report(report, out / f"run_{run_label(overrides.items())}")
+        emit_report(report, out / f"run_{label}")
         results.append((overrides, report))
     paths = emit_sweep(results, keys[0], out)
     for path in paths:

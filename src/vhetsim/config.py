@@ -141,7 +141,7 @@ def _owned(owner: type, table: dict) -> _Section:
 _ROOT = _owned(ExperimentConfig, {
     "sbs_count": _integer(1),
     "estimator": _owned(EstimatorSpec, {
-        "method": _choice(*METHODS, "perfect"),
+        "method": _choice(*METHODS),
         "neighbor_count": _integer(1),
         "distance_exponent": _real("> 0"),
         "cluster_count": _integer(1, words=("elbow",), what="'elbow' or an integer >= 1"),

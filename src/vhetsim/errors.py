@@ -32,7 +32,3 @@ class InsufficientNeighborsError(SimulationError):
 
 class DegenerateDistanceError(SimulationError):
     """Zero or negative distance where inverse-distance weighting is undefined."""
-
-
-class UndefinedRatioError(SimulationError):
-    """Relative estimation error is undefined because the true load is zero."""

@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import DegenerateDistanceError, InsufficientNeighborsError
 
-METHODS = (
-    "distance_unweighted",
-    "distance_weighted",
-    "random_unweighted",
-    "random_weighted",
-    "mlc",
-)
+# method -> (neighbour selection, inverse-distance weighting). "perfect" is a
+# diagnostic baseline (lambda_hat := lambda), not an estimation scheme; it
+# anchors the zero-error sanity checks.
+METHODS = {"distance_unweighted": ("distance", False), "distance_weighted": ("distance", True),
+           "random_unweighted": ("random", False), "random_weighted": ("random", True),
+           "mlc": ("clusters", False), "perfect": ("truth", False)}
 
 DEFAULT_G_RANGE = range(1, 11)
 _KMEANS_MAX_ITER = 300
@@ -43,9 +42,7 @@ class EstimatorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # "perfect" is a diagnostic baseline (lambda_hat := lambda), not an
-        # estimation scheme; it anchors the zero-error sanity checks.
-        if self.method not in METHODS + ("perfect",):
+        if self.method not in METHODS:
             raise ValueError(f"unknown estimator method {self.method!r}")
         if self.neighbor_count < 1:
             raise ValueError("neighbor_count must be >= 1")
@@ -512,19 +509,14 @@ def elbow_g(points, g_range=DEFAULT_G_RANGE, seed: int = 0, *, context: _PointSe
     return best_g
 
 
-def mlc_estimate(
-    loads,
-    active,
-    layers: int,
-    clusters: int | str = "elbow",
-    seed: int = 0,
-    g_range=DEFAULT_G_RANGE,
-    features=None,
-) -> np.ndarray:
+def mlc_estimate(loads, active, layers: int, clusters: int | str = "elbow", seed: int = 0,
+                 features=None) -> np.ndarray:
     """Multi-level clustering estimation for every sleeping cell.
 
     `loads` holds the current load of active cells and an initial guess for
-    sleeping ones (caller supplies e.g. the last observed value). A layer
+    sleeping ones (caller supplies e.g. the last observed value). With
+    `clusters="elbow"` the cluster count is `elbow_g` over its default range
+    (`DEFAULT_G_RANGE`, capped at the cell count), else `clusters`. A layer
     clusters the cells with k-means and replaces every sleeper's value with
     its cluster's mean active load; a cluster without any active member falls
     back to the global active mean.
@@ -555,7 +547,7 @@ def mlc_estimate(
         raise ValueError("feature matrix must have one row per cell")
     context = _PointSet(points)     # shared by the elbow and the first layer
     if clusters == "elbow":
-        g = elbow_g(points, g_range=g_range, seed=seed, context=context)
+        g = elbow_g(points, seed=seed, context=context)
     else:
         g = int(clusters)
     g = min(g, len(lam))

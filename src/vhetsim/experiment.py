@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import InsufficientNeighborsError, SimulationError
-from .estimate import (CellLoad, CellPool, NeighborSet, estimate_mean, estimate_weighted, mlc_estimate,
-                       rank_neighbors, select_random)
+from .estimate import (METHODS, CellLoad, CellPool, NeighborSet, estimate_mean, estimate_weighted,
+                       mlc_estimate, rank_neighbors, select_random)
 from .ingest import Corpus, ingest_dataset, load_profile_cache, synth_traffic
 from .metrics import decision_change_rate, empirical_p_err, mean_estimation_error
 from .power import BaseStation, Network, NetworkLoadState, Tier
@@ -116,43 +116,43 @@ class _NearestCells:
         return NeighborSet(self.corpus.ids[rows], distances[kept], self.corpus.loads[rows, slot])
 
 
-def _estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot,
-                       iteration, last_known, nearest):
-    """Return estimated loads for the sleeping SBSs, keyed by SBS index."""
-    spec = config.estimator
-    if spec.method == "perfect":
-        return {j: true_loads[j] for j in sleepers}
+def _estimate_sleepers(config, corpus, sbs_rows, sleepers, slot, seed, last_known, nearest) -> np.ndarray:
+    """The estimated loads of the sleeping SBSs, one array in the order of `sleepers`.
 
-    sleeper_rows = [sbs_rows[j] for j in sleepers]
+    `sleepers` indexes the SBS cells `sbs_rows` (corpus rows); `seed` is the
+    slot's estimator seed, from which random selection draws SBS j's neighbours
+    with seed + j. `last_known[j]` is SBS j's load when it was last seen awake,
+    NaN before that; MLC starts each sleeper there, or at the mean active load.
+    """
+    spec = config.estimator
+    selection, weighted = METHODS[spec.method]
+    sleeper_rows = sbs_rows[sleepers]
+    if selection == "truth":
+        return corpus.loads[sleeper_rows, slot]
     active = np.ones(len(corpus), dtype=bool)
     active[sleeper_rows] = False
-    seed = _estimator_seed(spec.seed, iteration, slot)
 
-    if spec.method == "mlc":
+    if selection == "clusters":
         values = corpus.loads[:, slot].copy()
-        global_mean = float(values[active].mean())
-        for j, row in zip(sleepers, sleeper_rows):
-            known = last_known.get(j)
-            values[row] = known if known is not None else global_mean
+        known = last_known[sleepers]
+        values[sleeper_rows] = np.where(np.isnan(known), values[active].mean(), known)
         estimated = mlc_estimate(values, active, layers=spec.layer_count, clusters=spec.cluster_count, seed=seed,
                                  features=corpus.loads if config.cluster_features == "profile" else None)
-        return {j: float(estimated[row]) for j, row in zip(sleepers, sleeper_rows)}
+        return estimated[sleeper_rows]
 
-    if spec.method.startswith("random"):
+    if selection == "random":
         pool = CellPool(corpus.ids[active], corpus.xy[active], corpus.loads[active, slot])
-    out = {}
-    for j, row in zip(sleepers, sleeper_rows):
+    estimates = []
+    for j, row in zip(sleepers.tolist(), sleeper_rows.tolist()):
         x, y = corpus.xy[row].tolist()
         target = CellLoad(int(corpus.ids[row]), (x, y), 0.0)
-        if spec.method.startswith("distance"):
+        if selection == "distance":
             neighbors = nearest.neighbors(target, row, active, slot, spec.neighbor_count)
         else:
             neighbors = select_random(target, pool, spec.neighbor_count, seed=seed + j)
-        if spec.method.endswith("weighted") and not spec.method.endswith("unweighted"):
-            out[j] = estimate_weighted(neighbors, spec.distance_exponent)
-        else:
-            out[j] = estimate_mean(neighbors)
-    return out
+        estimates.append(estimate_weighted(neighbors, spec.distance_exponent) if weighted
+                         else estimate_mean(neighbors))
+    return np.array(estimates, dtype=float)
 
 
 def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> ExperimentReport:
@@ -179,47 +179,35 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
     else:
         solve = partial(optimize_greedy, sinks=sinks)
     nearest = _NearestCells(corpus, min(config.estimator.neighbor_count + s - 1, len(corpus) - 1))
+    base = config.base_load["haps"], config.base_load["mbs"]
     iter_seeds = np.random.SeedSequence(config.seed).spawn(config.iteration_count)
     rows: list[SlotRow] = []
     skipped_total = 0
     for iteration, seed_seq in enumerate(iter_seeds):
         rng = np.random.default_rng(seed_seq)
-        sbs_rows = rng.choice(len(corpus), size=s, replace=False).tolist()
+        sbs_rows = rng.choice(len(corpus), size=s, replace=False)
         net = build_network(config, corpus, sbs_rows)
-        last_known: dict[int, float] = {}
+        last_known = np.full(s, np.nan)
         for slot in range(config.slot_count):
             try:
-                true_loads = corpus.loads[sbs_rows, slot].tolist()
-                base = config.base_load
-                loads0 = NetworkLoadState(base["haps"], base["mbs"], tuple(true_loads))
-                decision, _, p_true = solve(net, loads0)
-                sleepers = [j for j, off in enumerate(decision.asleep) if off]
+                true = corpus.loads[sbs_rows, slot]
+                decision, _, p_true = solve(net, NetworkLoadState(*base, tuple(true.tolist())))
+                asleep = np.array(decision.asleep, dtype=bool)
+                sleepers = np.flatnonzero(asleep)
+                est = true.copy()
+                est[sleepers] = _estimate_sleepers(config, corpus, sbs_rows, sleepers, slot,
+                                                   _estimator_seed(config.estimator.seed, iteration, slot),
+                                                   last_known, nearest)
+                last_known[~asleep] = true[~asleep]
+                decision_est, _, p_est = solve(net, NetworkLoadState(*base, tuple(est.tolist())))
 
-                estimates = _estimate_sleepers(
-                    config, corpus, sbs_rows, sleepers, true_loads,
-                    slot, iteration, last_known, nearest,
-                )
-                for j, off in enumerate(decision.asleep):
-                    if not off:
-                        last_known[j] = true_loads[j]
-
-                est_loads = tuple(estimates.get(j, lam) for j, lam in enumerate(true_loads))
-                loads_est0 = NetworkLoadState(base["haps"], base["mbs"], est_loads)
-                decision_est, _, p_est = solve(net, loads_est0)
-
-                pairs = [(true_loads[j], estimates[j]) for j in sleepers]
-                eps, skipped = mean_estimation_error(pairs) if pairs else (0.0, 0)
+                lam, lam_hat = true[sleepers], est[sleepers]
+                eps, skipped = mean_estimation_error(lam, lam_hat)
                 skipped_total += skipped
-                p_off_on, p_on_off = empirical_p_err(pairs, config.lambda_th)
-                rows.append(SlotRow(
-                    iteration, slot, eps, p_true, p_est, decision_change_rate(decision.delta, decision_est.delta),
-                    math.nan if p_off_on is None else p_off_on, math.nan if p_on_off is None else p_on_off,
-                ))
+                p_off_on, p_on_off = empirical_p_err(lam, lam_hat, config.lambda_th)
+                rows.append(SlotRow(iteration, slot, eps, p_true, p_est,
+                                    decision_change_rate(decision.delta, decision_est.delta), p_off_on, p_on_off))
             except SimulationError as exc:
                 raise SimulationError(f"iteration {iteration}, slot {slot}: {exc}") from exc
-    return ExperimentReport(
-        rows=rows,
-        config_echo=config.to_yaml(),
-        seed=config.seed,
-        skipped_zero_load=skipped_total,
-    )
+    return ExperimentReport(rows=rows, config_echo=config.to_yaml(), seed=config.seed,
+                            skipped_zero_load=skipped_total)

@@ -8,7 +8,7 @@ import pytest
 
 from vhetsim.cli import main
 from vhetsim.config import ExperimentConfig, apply_overrides, load_config, resolve_config
-from vhetsim.estimate import EstimatorSpec
+from vhetsim.estimate import METHODS, EstimatorSpec
 from vhetsim.errors import ConfigError
 from vhetsim.experiment import load_corpus, run_experiment
 from vhetsim.ingest import (
@@ -151,13 +151,18 @@ class TestRunExperiment:
             assert row.decision_change == 0.0
             assert row.power_est_w == row.power_true_w
 
-    @pytest.mark.parametrize("method", ["distance_unweighted", "distance_weighted",
-                                        "random_unweighted", "random_weighted", "mlc"])
+    @pytest.mark.parametrize("method", list(METHODS))
     def test_every_method_runs(self, method):
         raw = base_raw(slot_count=2)
         raw["estimator"] = {"method": method, "neighbor_count": 5}
         report = run_experiment(resolve_config(raw))
         assert len(report.rows) == 2
+
+    def test_slot_without_sleepers_has_no_error(self):
+        # full sinks: no SBS ever sleeps, so no slot has an estimation error to report
+        report = run_experiment(resolve_config(base_raw(slot_count=3, base_load={"haps": 1.0, "mbs": 1.0})))
+        assert all(math.isnan(row.mean_eps) for row in report.rows)
+        assert report.summary()["aggregates"]["mean_eps"]["defined_rows"] == 0
 
     def test_too_small_corpus(self):
         from vhetsim.errors import SimulationError
@@ -492,15 +497,20 @@ class TestCli:
                 assert (swept / alone[name].name).read_bytes() == alone[name].read_bytes()
 
     @pytest.mark.parametrize("optimizer, vary, message", [
-        ("greedy", "sbs_count=3,20,abc", "error: sbs_count must be an integer, got 'abc'\n"),
-        ("exhaustive", "sbs_count=3,20", "error: optimizer 'exhaustive' enumerates 3^sbs_count decisions: "
-                                         "sbs_count 20 is above exhaustive_limit 14\n"),
-    ], ids=["bad-third-value", "exhaustive-above-limit"])
+        ("greedy", ["sbs_count=3,20,abc"], "error: sbs_count must be an integer, got 'abc'\n"),
+        ("exhaustive", ["sbs_count=3,20"], "error: optimizer 'exhaustive' enumerates 3^sbs_count decisions: "
+                                           "sbs_count 20 is above exhaustive_limit 14\n"),
+        ("greedy", ["seed=1,2", "seed=5"], "error: --vary gives 'seed' twice\n"),
+        ("greedy", ["seed=1,1"], "error: sweep points 'seed=1' and 'seed=1' are the same run\n"),
+        ("greedy", ["seed=1,1.0"], "error: sweep points 'seed=1' and 'seed=1.0' are the same run\n"),
+    ], ids=["bad-third-value", "exhaustive-above-limit", "key-given-twice", "same-point-twice",
+            "same-config-twice"])
     def test_sweep_bad_point_runs_nothing(self, tmp_path, capsys, optimizer, vary, message):
         # every point resolves before the first run, so a bad later point writes nothing
         out = tmp_path / "sweep"
         cfg = self.write_config(tmp_path, base_raw(optimizer=optimizer))
-        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--vary", vary]) == 1
+        flags = [arg for value in vary for arg in ("--vary", value)]
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == message
         assert not out.exists()
 

@@ -490,11 +490,11 @@ class TestArrayNeighborSets:
         estimate_sleepers = vhetsim.experiment._estimate_sleepers
         ranked, compared = {}, []
 
-        def checked(config, corpus, sbs_rows, sleepers, true_loads, slot, *rest):
-            got = estimate_sleepers(config, corpus, sbs_rows, sleepers, true_loads, slot, *rest)
-            want = object_path_estimates(corpus, sbs_rows, sleepers, slot, config.estimator, ranked)
-            assert {j: v.hex() for j, v in got.items()} == {j: v.hex() for j, v in want.items()}, slot
-            compared.extend(got)
+        def checked(config, corpus, sbs_rows, sleepers, slot, *rest):
+            got = estimate_sleepers(config, corpus, sbs_rows, sleepers, slot, *rest)
+            want = object_path_estimates(corpus, sbs_rows.tolist(), sleepers.tolist(), slot, config.estimator, ranked)
+            assert [v.hex() for v in got.tolist()] == [want[j].hex() for j in sleepers.tolist()], slot
+            compared.extend(got.tolist())
             return got
 
         monkeypatch.setattr(vhetsim.experiment, "_estimate_sleepers", checked)
