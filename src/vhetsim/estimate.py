@@ -46,11 +46,11 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator method {self.method!r}")
         if self.neighbor_count < 1:
             raise ValueError("neighbor_count must be >= 1")
-        if self.distance_exponent <= 0:
-            raise ValueError("distance_exponent must be > 0")
+        if not 0 < self.distance_exponent < math.inf:
+            raise ValueError("distance_exponent must be finite and > 0")
         if self.layer_count < 1:
             raise ValueError("layer_count must be >= 1")
-        if self.cluster_count != "elbow" and int(self.cluster_count) < 1:
+        if self.cluster_count != "elbow" and (isinstance(self.cluster_count, str) or self.cluster_count < 1):
             raise ValueError("cluster_count must be >= 1 or 'elbow'")
 
 
@@ -154,6 +154,8 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
     Squared distances select the candidates at or inside the n-th distance;
     the candidates are then ordered by their `math.hypot` distance and id.
     """
+    if n_neighbors < 1:
+        raise ValueError("n_neighbors must be >= 1")
     pool = CellPool.of(cells)
     itself = np.flatnonzero(pool.ids == target.cell_id)
     available = len(pool.ids) - len(itself)
@@ -181,6 +183,8 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
 
 def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> NeighborSet:
     """n distinct active cells drawn uniformly without replacement (seeded)."""
+    if n_neighbors < 1:
+        raise ValueError("n_neighbors must be >= 1")
     pool = CellPool.of(cells)
     others = np.flatnonzero(pool.ids != target.cell_id)
     if len(others) < n_neighbors:
@@ -208,8 +212,8 @@ def estimate_weighted(neighbors: NeighborSet, n: float) -> float:
     """
     if not len(neighbors.loads):
         raise InsufficientNeighborsError("cannot estimate from an empty neighbor set")
-    if n <= 0:
-        raise ValueError("distance exponent must be > 0")
+    if not 0 < n < math.inf:
+        raise ValueError("distance exponent n must be finite and > 0")
     d = neighbors.distances                 # all > 0: a NeighborSet refuses any other
     w = (d.min() / d) ** n
     loads = neighbors.loads
@@ -278,7 +282,7 @@ class _PointSet:
             dist = dist if pts.ndim == 1 else dist.sum(-1)
             d2 = dist if d2 is None else np.minimum(d2, dist, out=d2)
             total = d2.sum()
-            latest = pts[rng.integers(len(pts)) if total <= 0 else _weighted_index(d2, total, rng)]
+            latest = pts[rng.integers(len(pts)) if total <= 0 else rng.choice(len(d2), p=d2 / total)]
 
 
 def _prefix_sums(values: np.ndarray) -> array:
@@ -287,17 +291,6 @@ def _prefix_sums(values: np.ndarray) -> array:
     sums[0] = 0.0
     np.cumsum(values, out=sums[1:])
     return array("d", sums.tobytes())
-
-
-def _weighted_index(d2: np.ndarray, total, rng: np.random.Generator) -> int:
-    """The index that `rng.choice(len(d2), p=d2 / total)` draws, from the same one
-    uniform, without `choice`'s checks of p. A total that is not finite goes to
-    `choice` itself, which refuses the NaN or infinite p with a ValueError."""
-    if not math.isfinite(total):
-        return rng.choice(len(d2), p=d2 / total)
-    cdf = np.cumsum(d2 / total)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _lloyd_sorted(context: _PointSet, centroids: np.ndarray):
@@ -319,13 +312,13 @@ def _lloyd_sorted(context: _PointSet, centroids: np.ndarray):
     test, so the centroids stay in that rank order throughout, and only the
     cuts between the runs can change.
 
-    Returns the assignment in the points' order and each cluster's size (both
-    None before the first iteration), the SSE history from prefix sums and
-    whether the assignment stopped changing.
+    Returns the last cuts between the runs (None before the first
+    iteration), the rank order of the centroids, one per run, the SSE history
+    from prefix sums and whether the cuts stopped changing.
     """
     eps = sys.float_info.epsilon
     two_eps = 2.0 * eps
-    order, xs, csum, _, sum_err, reach = context.prefix
+    _, xs, csum, _, sum_err, reach = context.prefix
     n, g = len(xs), len(centroids)
     seeds = centroids.tolist()
     rank = sorted(range(g), key=seeds.__getitem__)
@@ -364,14 +357,7 @@ def _lloyd_sorted(context: _PointSet, centroids: np.ndarray):
         converged, cuts = new == cuts, new
         if converged:
             break
-    if cuts is None:
-        return None, None, [], False
-    sizes = np.diff(cuts)
-    labels = np.empty(n, dtype=np.intp)
-    labels[order] = np.repeat(rank, sizes)
-    counts = np.empty(g, dtype=np.intp)
-    counts[rank] = sizes
-    return labels, counts, _sse_history(context, history), converged
+    return cuts, rank, _sse_history(context, history) if history else [], converged
 
 
 def _sse_history(context: _PointSet, history: list[list[int]]) -> list[float]:
@@ -411,16 +397,21 @@ def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, cou
         centroids[cluster] = np.add.reduce(members, axis=0) / len(members)
 
 
-def _nearest_is_own(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, own: np.ndarray) -> bool:
-    """Whether the general loop's argmin gives each scalar point its own centroid, at
-    squared distance `own`. Rounding is monotone, so fl((x - c)**2) is unimodal in c
-    over the sorted centroids: a point strictly nearer its own centroid than both of
-    its sorted neighbours has it as the unique argmin. Otherwise the full matrix decides."""
-    rank = np.argsort(centroids)
-    below, above = np.full(len(centroids), np.inf), np.full(len(centroids), np.inf)
-    below[rank[1:]], above[rank[:-1]] = centroids[rank[:-1]], centroids[rank[1:]]
-    strict = (own < (pts - below[assignment]) ** 2) & (own < (pts - above[assignment]) ** 2)
-    return bool(strict.all() or (_sq_distances(pts, centroids).argmin(axis=1) == assignment).all())
+def _runs_are_nearest(context: _PointSet, cent: list[float], cuts: list[int]) -> bool:
+    """Whether the general loop's argmin surely gives each run of sorted scalars,
+    xs[cuts[k]:cuts[k + 1]], its own centroid cent[k]. It does if adjacent centroids
+    are over `reach` apart, with a normal square, and each run's boundary points are
+    strictly nearer their own centroid than the next one, squared as that loop does:
+    rounding is monotone, so on the near side of its centroid a run's boundary point
+    is its worst point, and on the far side a point is nearer its own centroid by a
+    gap over 4 eps of any distance (at most 2 max|x|), more than the squares' rounding."""
+    xs, reach = context.prefix[1], context.prefix[5]
+    for a, b, cut in zip(cent, cent[1:], cuts[1:]):
+        gap, lo_a, lo_b, hi_a, hi_b = b - a, xs[cut - 1] - a, xs[cut - 1] - b, xs[cut] - a, xs[cut] - b
+        if not (gap > reach and gap * gap >= sys.float_info.min and lo_a * lo_a < lo_b * lo_b
+                and hi_b * hi_b < hi_a * hi_a):
+            return False
+    return True
 
 
 def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = None) -> ClusterModel:
@@ -429,9 +420,9 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     Empty clusters are reseeded to the point currently farthest from its
     centroid, so every cluster in the result is non-empty. Scalar points run
     the iterations on sorted prefix sums, and their SSE history before the
-    last entry comes from those sums; their fixed point is then checked with
-    the centroids and distances of the general loop, on sorted neighbour
-    centroids, and that loop takes over if the check fails.
+    last entry comes from those sums; their fixed point is then checked at
+    the runs' boundary points with the general loop's centroids and squares,
+    and that loop takes over if the check fails.
 
     `context`, built from these very points, shares their sort, k-means++
     draws and finished fits with other calls on them; without one the call
@@ -439,6 +430,8 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     """
     context = _PointSet(points) if context is None else context
     pts = context.pts
+    if g < 1:
+        raise ValueError("g must be >= 1")
     if len(pts) < g:
         raise ValueError(f"need at least {g} points for {g} clusters, got {len(pts)}")
     if (g, seed) in context.fits:
@@ -446,12 +439,14 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     centroids = context.seeds(g, seed)
     assignment, history = None, []
     if pts.ndim == 1:
-        assignment, counts, history, converged = _lloyd_sorted(context, centroids)
-    if assignment is not None:
-        _refresh(pts, centroids, assignment, counts)
-        own = (pts - centroids[assignment]) ** 2
-        history[-1] = float(own.sum())
-        if converged and _nearest_is_own(pts, centroids, assignment, own):
+        cuts, rank, history, converged = _lloyd_sorted(context, centroids)
+    if history:     # the sorted runs went through at least one iteration
+        sizes = np.diff(cuts)
+        assignment = np.empty(len(pts), dtype=np.intp)
+        assignment[context.prefix[0]] = np.repeat(rank, sizes)
+        _refresh(pts, centroids, assignment, sizes[np.argsort(rank)])
+        history[-1] = float(((pts - centroids[assignment]) ** 2).sum())
+        if converged and _runs_are_nearest(context, centroids[rank].tolist(), cuts):
             return context.fits.setdefault((g, seed), _model(centroids, assignment, history))
     # d2 always holds the squared distances to the current centroids
     d2 = _sq_distances(pts, centroids)
@@ -492,6 +487,8 @@ def elbow_g(points, g_range=DEFAULT_G_RANGE, seed: int = 0, *, context: _PointSe
     gs = [g for g in g_range]
     if not gs:
         raise ValueError("empty cluster-count range")
+    if min(gs) < 1:
+        raise ValueError("g_range must hold cluster counts >= 1")
     context = _PointSet(points) if context is None else context
     gs = [g for g in gs if g <= len(context.pts)]
     if not gs:
@@ -537,6 +534,8 @@ def mlc_estimate(loads, active, layers: int, clusters: int | str = "elbow", seed
         raise ValueError("loads and active mask must have the same length")
     if layers < 1:
         raise ValueError("layer count must be >= 1")
+    if clusters != "elbow" and (isinstance(clusters, str) or clusters < 1):
+        raise ValueError("clusters must be >= 1 or 'elbow'")
     if not active.any():
         raise InsufficientNeighborsError("at least one active cell is required")
     global_mean = float(lam[active].mean())

@@ -198,6 +198,14 @@ class TestEstimateWeighted:
         ns = NeighborSet([1, 2], [100.0, 5000.0], [0.2, 0.9])
         assert estimate_weighted(ns, 500.0) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_exponent_raises(self, n):
+        # NaN passes an `n <= 0` test and would come out as a NaN estimate
+        with pytest.raises(ValueError, match="^distance exponent n must be finite"):
+            estimate_weighted(NeighborSet([1, 2], [1.0, 2.0], [0.2, 0.4]), n)
+        with pytest.raises(ValueError, match="^distance_exponent must be finite"):
+            EstimatorSpec(method="distance_weighted", distance_exponent=n)
+
     def test_convex_combination_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
@@ -289,6 +297,22 @@ class TestElbow:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             elbow_g([0.1, 0.2], g_range=range(0), seed=0)
+
+
+LINE = cells_on_line([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: kmeans_cluster([0.1, 0.2, 0.8], 0, 0), "g"),
+    (lambda: elbow_g([0.1, 0.2, 0.8], range(0, 3)), "g_range"),
+    (lambda: mlc_estimate([0.1, 0.2, 0.8], [True, False, True], layers=1, clusters=0), "clusters"),
+    (lambda: rank_neighbors(LINE[0], LINE, -1), "n_neighbors"),
+    (lambda: select_random(LINE[0], LINE, -1, 0), "n_neighbors"),
+    (lambda: EstimatorSpec(method="mlc", cluster_count="elbowx"), "cluster_count"),
+], ids=["kmeans_cluster", "elbow_g", "mlc_estimate", "rank_neighbors", "select_random", "EstimatorSpec"])
+def test_count_below_one_names_its_argument(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
 
 
 class TestMlcEstimate:

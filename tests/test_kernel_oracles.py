@@ -43,9 +43,8 @@ from vhetsim.estimate import (
     _KMEANS_MAX_ITER,
     _PointSet,
     _lloyd_sorted,
-    _nearest_is_own,
+    _runs_are_nearest,
     _sq_distances,
-    _weighted_index,
     CellLoad,
     CellPool,
     ClusterModel,
@@ -620,6 +619,14 @@ def scalar_sets():
             yield loads[:, slot], g, slot
 
 
+def run_labels(context, cuts, rank):
+    """The labels, in the points' order, of the runs of sorted points between
+    `cuts`, run k holding the label rank[k]."""
+    labels = np.empty(len(context.pts), dtype=np.intp)
+    labels[context.prefix[0]] = np.repeat(rank, np.diff(cuts))
+    return labels
+
+
 class TestLloydSorted:
     """`_lloyd_sorted` against the loop that sorted the centroids again at every iteration."""
 
@@ -628,17 +635,19 @@ class TestLloydSorted:
         for pts, g, seed in scalar_sets():
             context = _PointSet(pts)
             seeds = context.seeds(g, seed)
-            labels, counts, history, converged = _lloyd_sorted(context, seeds.copy())
+            cuts, rank, history, converged = _lloyd_sorted(context, seeds.copy())
             want_labels, want_history, want_converged = resorting_lloyd_sorted(context, seeds.copy())
-            assert (labels is None) == (counts is None) == (want_labels is None)
-            if labels is not None:
-                assert np.array_equal(labels, want_labels)
-                assert np.array_equal(counts, np.bincount(labels, minlength=g))
+            assert (cuts is None) == (want_labels is None)
+            if cuts is not None:
+                assert np.array_equal(run_labels(context, cuts, rank), want_labels)
+                # every run is non-empty, and each centroid owns one
+                assert cuts[0] == 0 and cuts[-1] == len(pts) and (np.diff(cuts) > 0).all()
+                assert sorted(rank) == list(range(g))
             assert converged == want_converged
             assert len(history) == len(want_history)
             np.testing.assert_allclose(history, want_history, rtol=1e-9, atol=1e-12)
             ran += 1
-            stopped["at once" if labels is None else "converged" if converged else "mid-way"] += 1
+            stopped["at once" if cuts is None else "converged" if converged else "mid-way"] += 1
         # some fits leave the prefix sums to the general loop at once or mid-way
         assert ran >= 2000 and min(stopped.values()) >= 10, stopped
 
@@ -647,10 +656,10 @@ class TestLloydSorted:
         # the middle run {3, 7} moves its mean to 5, halfway between its
         # neighbours' new means 2.9 and 7.1, and no point is left in its cell
         context = _PointSet([7.1, 3.0, 2.9, 7.0])
-        labels, counts, history, converged = _lloyd_sorted(context, np.array([5.9, 0.0, 8.2]))
+        cuts, rank, history, converged = _lloyd_sorted(context, np.array([5.9, 0.0, 8.2]))
         want_labels, want_history, _ = resorting_lloyd_sorted(context, np.array([5.9, 0.0, 8.2]))
-        assert labels.tolist() == want_labels.tolist() == [2, 0, 1, 0]
-        assert counts.tolist() == [2, 1, 1] and not converged
+        assert run_labels(context, cuts, rank).tolist() == want_labels.tolist() == [2, 0, 1, 0]
+        assert cuts == [0, 1, 3, 4] and rank == [1, 0, 2] and not converged
         assert len(history) == len(want_history) == 1
 
 
@@ -707,86 +716,99 @@ class TestSqDistances:
         assert peak <= 1.25 * pts.nbytes + d2.nbytes
 
 
-class TestWeightedDraw:
-    """`_weighted_index` against `Generator.choice(len(p), p=p)` from an identically seeded generator."""
-
-    @staticmethod
-    def draws(d2, seed):
-        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        total = d2.sum()
-        got, want = _weighted_index(d2, total, mine), theirs.choice(len(d2), p=d2 / total)
-        assert mine.bit_generator.state == theirs.bit_generator.state
-        return got, want
-
-    @pytest.mark.parametrize("case", ["random", "many zeros", "one non-zero"])
-    def test_same_index_and_stream(self, case):
-        rng = np.random.default_rng(5)
-        for seed in range(300):
-            n = int(rng.integers(1, 3000))
-            d2 = rng.random(n) ** 3
-            if case == "many zeros":
-                d2[rng.random(n) < 0.95] = 0.0
-                d2[rng.integers(n)] = rng.random() + 0.1
-            elif case == "one non-zero":
-                d2[:] = 0.0
-                d2[rng.integers(n)] = rng.random() + 0.1
-            got, want = self.draws(d2, seed)
-            assert got == want and isinstance(got, int)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_total_raises(self, bad):
-        d2 = np.array([0.5, bad, 0.25])
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError):
-                np.random.default_rng(0).choice(3, p=d2 / d2.sum())
-            with pytest.raises(ValueError):
-                _weighted_index(d2, d2.sum(), np.random.default_rng(0))
-
-
 class TestFixedPointCheck:
-    """`_nearest_is_own` against the general loop's argmin over all centroids."""
+    """The run check, `_runs_are_nearest`, against the general loop's argmin over all centroids."""
 
     @staticmethod
-    def checked(monkeypatch, pts, centroids, assignment):
-        """The check's answer, the full argmin's, and whether the check fell back to it."""
+    def checked(pts, centroids, assignment):
+        """The run check's answer and the full argmin's, for an assignment that
+        gives each centroid one run of the sorted points."""
         pts, centroids, assignment = np.asarray(pts, float), np.asarray(centroids, float), np.asarray(assignment)
-        calls = []
-        monkeypatch.setattr(vhetsim.estimate, "_sq_distances", lambda *a: calls.append(1) or _sq_distances(*a))
-        own = (pts - centroids[assignment]) ** 2
-        got = _nearest_is_own(pts, centroids, assignment, own)
+        context = _PointSet(pts)
+        runs = assignment[context.prefix[0]]
+        starts = np.flatnonzero(np.diff(runs)) + 1
+        rank = runs[np.concatenate(([0], starts))]
+        assert sorted(rank.tolist()) == list(range(len(centroids))), "one run per centroid"
+        cuts = [0, *starts.tolist(), len(pts)]
+        got = _runs_are_nearest(context, centroids[rank].tolist(), cuts)
         want = bool((((pts[:, None] - centroids[None]) ** 2).argmin(axis=1) == assignment).all())
-        return got, want, bool(calls)
+        return got, want
 
     @pytest.mark.parametrize("centroids, assignment, nearest", [
         ((1.0, 3.0), (0, 0, 1), True),     # 2.0 is halfway: the tie goes to the lower index, its own
         ((3.0, 1.0), (1, 1, 0), False),    # the same tie goes to index 0, not its own centroid
         ((1.0, 3.0), (0, 1, 1), False),
-        ((1.0, 1.0, 3.0), (0, 0, 2), True),      # two equal centroids: 0.0 ties between them
-        ((1.0, 1.0, 3.0), (1, 0, 2), False),
+        ((2.5, 1.5, 3.0), (1, 0, 2), True),     # 2.0 ties between 1.5 and 2.5, its own, at index 0
+        ((1.0, 1.0, 3.0), (1, 0, 2), False),    # two equal centroids: 0.0 ties between them
     ])
-    def test_float_ties_fall_back(self, monkeypatch, centroids, assignment, nearest):
-        got, want, fell_back = self.checked(monkeypatch, [0.0, 2.0, 3.0], centroids, assignment)
-        assert fell_back and got == want == nearest
+    def test_float_ties_fall_back(self, centroids, assignment, nearest):
+        got, want = self.checked([0.0, 2.0, 3.0], centroids, assignment)
+        assert not got and want == nearest
 
-    def test_strict_points_need_no_matrix(self, monkeypatch):
-        assert self.checked(monkeypatch, [0.0, 0.5, 2.9, 3.0], [0.25, 3.0], [0, 0, 1, 1]) == (True, True, False)
-        assert self.checked(monkeypatch, [0.3, 0.4], [0.35], [0, 0]) == (True, True, False)
+    def test_strict_points_need_no_matrix(self):
+        assert self.checked([0.0, 0.5, 2.9, 3.0], [0.25, 3.0], [0, 0, 1, 1]) == (True, True)
+        assert self.checked([3.0, 0.0, 2.9, 0.5], [3.0, 0.25], [0, 1, 0, 1]) == (True, True)
+        assert self.checked([0.3, 0.4], [0.35], [0, 0]) == (True, True)
 
-    def test_grid_values(self, monkeypatch):
-        # points and centroids on a grid of quarters: many exact ties
+    def test_close_or_tiny_gaps_fall_back(self):
+        # the boundary points are strictly nearer their own centroids in both,
+        # but centroids one ulp apart leave -1.0 equally near both once rounded
+        b = 1.0 + sys.float_info.epsilon
+        assert self.checked([-1.0, 1.0, b], [b, 1.0], [1, 1, 0]) == (False, False)
+        # and a gap of 1e-160 has a subnormal square, whose rounding is not relative
+        assert self.checked([-1e-160, 0.0, 1e-160], [0.0, 1e-160], [0, 0, 1]) == (False, True)
+
+    def test_grid_values(self):
+        # points and centroids on a grid of quarters: many exact ties. Each
+        # centroid is one of the points, so it owns a run of the nearest
+        # centroids, and half the draws move one cut by a value
         rng = np.random.default_rng(11)
-        fell_back = 0
+        declined = 0
         for _ in range(400):
-            g = int(rng.integers(1, 6))
             pts = rng.integers(0, 13, size=40) / 4
-            centroids = rng.integers(0, 13, size=g) / 4
-            nearest = ((pts[:, None] - centroids[None]) ** 2).argmin(axis=1)
-            if rng.random() < 0.5:
-                nearest[rng.integers(40)] = rng.integers(g)
-            got, want, fell = self.checked(monkeypatch, pts, centroids, nearest)
-            assert got == want
-            fell_back += fell
-        assert 0 < fell_back < 400
+            values = np.unique(pts)
+            cent = np.sort(rng.choice(values, size=min(int(rng.integers(1, 6)), len(values)), replace=False))
+            g = len(cent)
+            labels = ((pts[:, None] - cent[None]) ** 2).argmin(axis=1)
+            if g > 1 and rng.random() < 0.5:
+                k = int(rng.integers(g - 1))
+                lower, upper = pts[labels == k], pts[labels == k + 1]
+                if rng.random() < 0.5 and lower.min() < lower.max():
+                    labels[(labels == k) & (pts == lower.max())] = k + 1
+                elif upper.min() < upper.max():
+                    labels[(labels == k + 1) & (pts == upper.min())] = k
+            # the centroids in a random index order, so ties may go to either side
+            rank = rng.permutation(g)
+            centroids = np.empty(g)
+            centroids[rank] = cent
+            got, want = self.checked(pts, centroids, rank[labels])
+            assert want or not got
+            declined += not got
+        assert 0 < declined < 400
+
+    def test_mlc_fits_need_no_matrix(self, monkeypatch):
+        # on ordinary loads every scalar fit of MLC (the elbow's ten and both
+        # layers) converges on its runs and passes the run check, so no
+        # (points, centroids) matrix is ever built
+        loads = synth_traffic(SynthParams(grid_side=24, spatial_correlation_length=4 * 235.0,
+                                          noise_std=0.3, seed=5)).loads
+        fits, matrices, fit = [], [], vhetsim.estimate.kmeans_cluster
+
+        def recording(points, g, seed, **kwargs):
+            fits.append((np.array(points, dtype=float), g, seed, fit(points, g, seed, **kwargs)))
+            return fits[-1][-1]
+
+        monkeypatch.setattr(vhetsim.estimate, "kmeans_cluster", recording)
+        monkeypatch.setattr(vhetsim.estimate, "_sq_distances", lambda *a: matrices.append(1) or _sq_distances(*a))
+        rng = np.random.default_rng(5)
+        for slot in (1, 40, 72, 110):
+            active = rng.random(len(loads)) < 0.8
+            guess = loads[:, slot].copy()
+            guess[~active] = loads[~active, slot - 1]
+            mlc_estimate(guess, active, layers=2, seed=slot)
+        assert not matrices and len(fits) == 4 * 12
+        for points, g, seed, model in fits:
+            assert_same_model(model, lloyd_kmeans(points, g, seed))
 
 
 class TestSharedContext:
