@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one experiment and emit reports")
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", default=None)
+    sim.add_argument("--out", default="out")
     sim.add_argument("--estimator", default=None, help="override estimator method")
     sim.add_argument("--sbs-count", type=int, default=None)
 
@@ -56,13 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _simulate(args) -> int:
     config = load_config(args.config)
-    flags = {"seed": args.seed, "estimator.method": args.estimator, "sbs_count": args.sbs_count, "output": args.out}
+    flags = {"seed": args.seed, "estimator.method": args.estimator, "sbs_count": args.sbs_count}
     overrides = {key: value for key, value in flags.items() if value is not None}
     if overrides:
         config = apply_overrides(config, overrides)
     # a bad corpus leaves no directory behind; a bad directory stops the run before it starts
     corpus = load_corpus(config)
-    outdir = make_output_dir(config.output or "out")
+    outdir = make_output_dir(args.out)
     report = run_experiment(config, corpus)
     paths = emit_report(report, outdir)
     agg = report.summary()["aggregates"]

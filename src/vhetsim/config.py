@@ -55,7 +55,6 @@ class ExperimentConfig:
     cell_size_m: float = DEFAULT_CELL_SIZE_M
     cluster_features: str = "scalar"
     seed: int = 0
-    output: str | None = None
 
     def __post_init__(self):
         if self.dataset is None and self.synth is None:
@@ -173,15 +172,14 @@ _ROOT = _owned(ExperimentConfig, {
     "cell_size_m": _real("> 0", float),
     "cluster_features": _choice("scalar", "profile"),
     "seed": _integer(0),
-    "output": _path,
 })
 
 
 def resolve_config(raw, section: _Section = _ROOT, name: str = ""):
     """Check `raw` key by key against `section`, the whole config by default. An absent key takes
     the default of the field that owns it; a key without one is required, and one whose default is
-    None (`dataset`, `synth`, `output`, `synth.temporal_profile`) may be null, as may a section,
-    which then takes its defaults. A bad, unknown or missing key raises ConfigError naming it."""
+    None (`dataset`, `synth`, `synth.temporal_profile`) may be null, as may a section, which then
+    takes its defaults. A bad, unknown or missing key raises ConfigError naming it."""
     given = {} if raw is None else raw
     if not isinstance(given, dict):
         raise ConfigError(f"section '{name}' must be a mapping" if name else "config root must be a mapping")

@@ -13,6 +13,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,16 @@ DEFAULT_G_RANGE = range(1, 11)
 _KMEANS_MAX_ITER = 300
 
 
+def _check_count(name: str, value, elbow: bool = False) -> None:
+    """Raise a ValueError naming `name` unless `value` is an integer >= 1 (a bool or a
+    float is not one) or, where `elbow`, the word 'elbow'."""
+    if elbow and value == "elbow":
+        return
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        what = "'elbow' or an integer >= 1" if elbow else "an integer >= 1"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which estimation scheme to run, with its hyperparameters."""
@@ -44,14 +55,11 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown estimator method {self.method!r}")
-        if self.neighbor_count < 1:
-            raise ValueError("neighbor_count must be >= 1")
+        _check_count("neighbor_count", self.neighbor_count)
         if not 0 < self.distance_exponent < math.inf:
             raise ValueError("distance_exponent must be finite and > 0")
-        if self.layer_count < 1:
-            raise ValueError("layer_count must be >= 1")
-        if self.cluster_count != "elbow" and (isinstance(self.cluster_count, str) or self.cluster_count < 1):
-            raise ValueError("cluster_count must be >= 1 or 'elbow'")
+        _check_count("layer_count", self.layer_count)
+        _check_count("cluster_count", self.cluster_count, elbow=True)
 
 
 class Neighbor(NamedTuple):
@@ -154,8 +162,7 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
     Squared distances select the candidates at or inside the n-th distance;
     the candidates are then ordered by their `math.hypot` distance and id.
     """
-    if n_neighbors < 1:
-        raise ValueError("n_neighbors must be >= 1")
+    _check_count("n_neighbors", n_neighbors)
     pool = CellPool.of(cells)
     itself = np.flatnonzero(pool.ids == target.cell_id)
     available = len(pool.ids) - len(itself)
@@ -183,8 +190,7 @@ def rank_neighbors(target: CellLoad, cells, n_neighbors: int) -> NeighborSet:
 
 def select_random(target: CellLoad, cells, n_neighbors: int, seed: int) -> NeighborSet:
     """n distinct active cells drawn uniformly without replacement (seeded)."""
-    if n_neighbors < 1:
-        raise ValueError("n_neighbors must be >= 1")
+    _check_count("n_neighbors", n_neighbors)
     pool = CellPool.of(cells)
     others = np.flatnonzero(pool.ids != target.cell_id)
     if len(others) < n_neighbors:
@@ -244,6 +250,8 @@ class _PointSet:
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
         self.pts = pts[:, 0] if pts.shape[1] == 1 else pts
+        if not np.isfinite(self.pts).all():
+            raise ValueError("points must be finite")
         self.fits: dict[tuple[int, int], ClusterModel] = {}
         self._streams: dict[int, tuple] = {}
         if self.pts.ndim == 1:
@@ -430,8 +438,7 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     """
     context = _PointSet(points) if context is None else context
     pts = context.pts
-    if g < 1:
-        raise ValueError("g must be >= 1")
+    _check_count("g", g)
     if len(pts) < g:
         raise ValueError(f"need at least {g} points for {g} clusters, got {len(pts)}")
     if (g, seed) in context.fits:
@@ -532,10 +539,10 @@ def mlc_estimate(loads, active, layers: int, clusters: int | str = "elbow", seed
     active = np.asarray(active, dtype=bool)
     if lam.shape != active.shape:
         raise ValueError("loads and active mask must have the same length")
-    if layers < 1:
-        raise ValueError("layer count must be >= 1")
-    if clusters != "elbow" and (isinstance(clusters, str) or clusters < 1):
-        raise ValueError("clusters must be >= 1 or 'elbow'")
+    if not np.isfinite(lam).all():
+        raise ValueError("loads must be finite")
+    _check_count("layers", layers)
+    _check_count("clusters", clusters, elbow=True)
     if not active.any():
         raise InsufficientNeighborsError("at least one active cell is required")
     global_mean = float(lam[active].mean())

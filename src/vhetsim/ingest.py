@@ -25,6 +25,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,19 +42,12 @@ _STATIC_NOISE_SHARE = 0.75
 CACHE_HEADER = ["cell_id", "x_m", "y_m"] + [f"s{t:03d}" for t in range(SLOTS_PER_DAY)]
 
 
-@dataclass(frozen=True)
-class TrafficProfile:
-    """One cell's normalized daily load series (144 load factors in [0, 1])."""
+class TrafficProfile(NamedTuple):
+    """One cell's normalized daily load series (144 load factors in [0, 1]), a row of a `Corpus`."""
 
     cell_id: int
     position: tuple[float, float]
     slots: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.slots) != SLOTS_PER_DAY:
-            raise ValueError(f"profile needs {SLOTS_PER_DAY} slots, got {len(self.slots)}")
-        if any(not (0.0 <= v <= 1.0) for v in self.slots):
-            raise ValueError("load factors must lie in [0, 1]")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

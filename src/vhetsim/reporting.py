@@ -75,22 +75,22 @@ def emit_sweep(results, x_key: str, outdir) -> list[Path]:
     """Write one plot-data series file per non-x override combination.
 
     `results` is a list of (overrides, ExperimentReport). Rows within a series
-    are ordered by the x value; columns are the aggregate means of the run.
+    are ordered by the x value. A row is the x value, then the run's mean of
+    every `SlotRow` field after `slot`, in field order, headed `mean_<field>`.
     """
     outdir = make_output_dir(outdir)
     series: dict[tuple, list] = {}
     for overrides, report in results:
-        x_value = overrides[x_key]
         rest = tuple(sorted((k, v) for k, v in overrides.items() if k != x_key))
-        series.setdefault(rest, []).append((x_value, report))
+        series.setdefault(rest, []).append((overrides[x_key], report))
+    fields = SlotRow._fields[2:]
+    header = [x_key, *(f"mean_{name}" for name in fields)]
     paths = []
     for rest, points in series.items():
         rows = []
         for x_value, report in sorted(points, key=lambda p: _sort_key(p[0])):
             agg = report.summary()["aggregates"]
-            rows.append([x_value] + [_fmt(agg[col]["mean"])
-                                     for col in ("mean_eps", "power_true_w", "power_est_w", "decision_change")])
-        header = [x_key, "mean_eps", "mean_power_true_w", "mean_power_est_w", "mean_decision_change"]
+            rows.append([x_value, *(_fmt(agg[name]["mean"]) for name in fields)])
         paths.append(_write_csv(outdir / f"series_{run_label(rest) or 'all'}.csv", header, rows))
     return sorted(paths)
 

@@ -315,6 +315,28 @@ def test_count_below_one_names_its_argument(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: EstimatorSpec(method="distance_weighted", neighbor_count=2.5), "neighbor_count"),
+    (lambda: EstimatorSpec(method="mlc", layer_count=1.5), "layer_count"),
+    (lambda: EstimatorSpec(method="mlc", cluster_count=2.5), "cluster_count"),
+    (lambda: EstimatorSpec(method="mlc", layer_count=True), "layer_count"),
+    (lambda: rank_neighbors(LINE[0], LINE, 2.5), "n_neighbors"),
+    (lambda: select_random(LINE[0], LINE, True, 0), "n_neighbors"),
+    (lambda: kmeans_cluster([0.1, 0.2, 0.8], 1.5, 0), "g"),
+    (lambda: mlc_estimate([0.1, 0.2, 0.8], [True, False, True], layers=1.5), "layers"),
+    (lambda: kmeans_cluster([0.1, np.nan, 0.8], 2, 0), "points"),
+    (lambda: kmeans_cluster([[0.1, 0.2], [np.inf, 0.3], [0.8, 0.9]], 2, 0), "points"),
+    (lambda: elbow_g([0.1, -np.inf, 0.8]), "points"),
+    (lambda: mlc_estimate([0.1, np.nan, 0.8], [True, False, True], layers=1), "loads"),
+    (lambda: mlc_estimate([0.1, 0.2, np.inf], [True, False, True], layers=1, clusters=2), "loads"),
+], ids=["spec-neighbor_count-float", "spec-layer_count-float", "spec-cluster_count-float", "spec-layer_count-bool",
+        "rank_neighbors-float", "select_random-bool", "kmeans_cluster-float", "mlc_estimate-float",
+        "kmeans_cluster-nan", "kmeans_cluster-inf-2d", "elbow_g-inf", "mlc_estimate-nan", "mlc_estimate-inf"])
+def test_non_integer_count_or_non_finite_point_names_its_argument(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
+
+
 class TestMlcEstimate:
     def test_constant_actives(self):
         loads = [0.3, 0.3, 0.3, 0.0]

@@ -268,6 +268,13 @@ class TestCli:
         assert (out / "rows.csv").exists()
         assert "mean eps" in capsys.readouterr().out
 
+    def test_simulate_files_do_not_depend_on_out(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        for out in ("a", "b/c"):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        for name in ("rows.csv", "summary.json", "config.yaml"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b/c" / name).read_bytes()
+
     def test_simulate_flag_overrides(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "run2"
@@ -285,8 +292,10 @@ class TestCli:
         series = sorted(p.name for p in out.glob("series_*.csv"))
         assert len(series) == 2  # one per distance_exponent value
         body = (out / series[0]).read_text(encoding="utf-8").splitlines()
-        assert body[0].startswith("estimator.neighbor_count,")
-        assert len(body) == 3
+        # the x key, then the run's mean of every aggregated SlotRow field, in field order
+        header = ["estimator.neighbor_count", *(f"mean_{name}" for name in SlotRow._fields[2:])]
+        assert body[0] == ",".join(header)
+        assert len(body) == 3 and all(len(line.split(",")) == len(header) for line in body)
 
     def test_sweep_over_dataset_paths(self, tmp_path, monkeypatch):
         # a '/' in a swept value must nest no run directory or series file below --out
@@ -541,7 +550,7 @@ class TestCli:
         (lambda raw: raw["synth"].update(spatial_correlation_length=False),
          "synth.spatial_correlation_length must be a number, got False"),
         (lambda raw: raw.update(dataset=5), "dataset must be a path, got 5"),
-        (lambda raw: raw.update(output=5), "output must be a path, got 5"),
+        (lambda raw: raw.update(output="out"), "unknown key 'output'"),
         (lambda raw: raw["synth"].update(temporal_profile=5),
          "synth.temporal_profile must be a list of numbers, got 5"),
         (lambda raw: raw["synth"].update(temporal_profile=["a"] * 144),

@@ -55,23 +55,23 @@ CONFIGS = {
 
 GOLDEN = {
     "distance_weighted": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                          "e905fab6c865d073bb70fb866bacfa03ae6ade5f03e6a70d222ab34c0349116d"),
+                          "4ad9393f7c94f341d0512dfd5b6350ec3e3dad653ee70ab61b368df643c1a18c"),
     "distance_unweighted": ("048b89882ff1585a266c647014ab0a692b67428aced67fb22504334ad469596c",
-                            "ec838a90daa13a637bd7be78e68c580b5d8c11cfa579573acc7d0c65c278c3f0"),
+                            "27c69eb6b3f183ff1f59df043a414a5b0250326c19e4d3682f5bbee4e42309d1"),
     "random_weighted": ("af94169e770521a2833a0399dc440de1b6c2c0953ebbe0943b84277a1474b5dc",
-                        "98b35799d94e82e4062ef3ba2ad1676e6c2a105e5704378aedcd6b829e3f331b"),
+                        "d6a41aeb8e4ddef7a6b864661604c7e8601080c64360a020a4975736c4559968"),
     "random_unweighted": ("6be58065d71bf25868f5f53bf378e694cb65a8bddda6bacbdd4120d94faeea5f",
-                          "1f1987f127c74d3932d827a281dd53faac46848f78332f2300d6325558ba1eec"),
+                          "825408f97dc1d0a68665ab51a3c657318438006922fface0f4d2408b271a4716"),
     "mlc_elbow_l2": ("2af24f84edb4e7ca49a27acf4803420b235e021dd496047d738dbaa4c6eaa1ca",
-                     "6d3b41c2c8fbbbab5a68220e1982760d812993f4d45c19b4573a4d021cb1ae2a"),
+                     "fdf16600f046ef23fb329acff57ef0a21ab5679601068587cf739b00ccb8ec55"),
     "mlc_profile": ("42f3ef3736dcbae5a0eac9002a8142830a57a8fa64a5e0e8190e19958093645e",
-                    "e58185ba1b97642bee4179561a902384204399d54ef51bfe052f4c51423c51ad"),
+                    "985e5e2551d89d53ae620b7d49fe07cc4d1b19242e24c61fe35cb47138a08b2d"),
     # the exhaustive solver finds the greedy decisions on every slot here
     "exhaustive_s5": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                      "3e52e45d48534056ce44aa7ce39122e87ee726b4646eeeddfca1400c83c1de42"),
+                      "e9e740e2d51bb86df57448af3ec945d5505d0a93cf64086d42ac636be7420f81"),
     # same rows as distance_weighted: the cache holds the same corpus
     "cache_distance_weighted": ("3225bd4696aa4e450d58db8a75c6b131e4eaee69a554b9bc41c74dadb2b14ce0",
-                                "ffb709fa7f157575ec0aba2ee471cbc6e2a5a3e24cddda23576b3adb46454979"),
+                                "dead7e0b5d515cd81b867e909908fc6229500a0ed058144045189c71bec9e914"),
 }
 
 
@@ -115,8 +115,8 @@ def test_cache_sidecar_outputs_unchanged(tmp_path, monkeypatch):
 
 # the series files of a 2 x 2 sweep over distance_weighted, one per distance exponent
 SERIES_GOLDEN = {
-    "series_estimator-distance_exponent=1.csv": "7996b1507766bbe11e89f7924224abe04f0671cdc6ef999ae557e4e7d11f6028",
-    "series_estimator-distance_exponent=3.csv": "665f370e2a8595e0664efbe68905a66714d348612791e788c861f5d56a419d9b",
+    "series_estimator-distance_exponent=1.csv": "5917ac1a1a71cdfbb6f1ed3769b9ac0046c754938a31b48c35b6cea0a41a5906",
+    "series_estimator-distance_exponent=3.csv": "bfafcb8fe074eab69c8ff860e9392a74680d91a1c246f6317a05dee13da84b8e",
 }
 
 
