@@ -74,8 +74,8 @@ _BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
            "in [0, 1]": lambda v: 0 <= v <= 1, "in (0, 1)": lambda v: 0 < v < 1}
 
 
-def _fail(key: str, what: str, value):
-    raise ConfigError(f"{key} must be {what}, got {value!r}")
+def _fail(key: str, what: str, value, note: str = ""):
+    raise ConfigError(f"{key} must be {what}, got {value!r}{note}")
 
 
 def _integer(low: int | None = None, high: int | None = None, words=(), what: str = "an integer"):
@@ -96,7 +96,11 @@ def _real(bound: str | None = None, cast=None):
     """A finite real within `bound`, stored as given unless `cast`; booleans and strings are refused."""
     def check(value, key):
         if isinstance(value, bool) or not isinstance(value, Real):
-            _fail(key, "a number", value)
+            try:    # PyYAML reads 1e-3 as a string: a YAML 1.1 float has a dot and a signed exponent
+                note = f", which YAML reads as a string; write {yaml.safe_dump(float(str(value))).split()[0]}"
+            except ValueError:
+                note = ""
+            _fail(key, "a number", value, note)
         if not abs(value) <= sys.float_info.max:
             _fail(key, "finite", value)
         if bound and not _BOUNDS[bound](value):

@@ -29,6 +29,9 @@ METHODS = {"distance_unweighted": ("distance", False), "distance_weighted": ("di
 
 DEFAULT_G_RANGE = range(1, 11)
 _KMEANS_MAX_ITER = 300
+# largest scalar magnitudes for the sorted loop, besides 0: below about 2^-461 a gap it admits
+# may have a subnormal square, and far above 2^400 the prefix sums of squares may overflow
+_SORTED_LOW, _SORTED_HIGH = 2.0 ** -400, 2.0 ** 400
 
 
 def _check_count(name: str, value, elbow: bool = False) -> None:
@@ -243,18 +246,28 @@ class ClusterModel:
 
 class _PointSet:
     """One point set's shared k-means work: the points (scalars as a 1-D array),
-    for scalars their sort and prefix sums, one k-means++ stream per seed, and
-    every finished fit by (g, seed). The points must not change meanwhile.
+    one k-means++ stream per seed, every finished fit by (g, seed) and, for scalars
+    whose largest magnitude is 0 or in [_SORTED_LOW, _SORTED_HIGH], their sort and
+    prefix sums (`prefix`, else None). The points must not change meanwhile.
     """
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
         self.pts = pts[:, 0] if pts.shape[1] == 1 else pts
-        if not np.isfinite(self.pts).all():
-            raise ValueError("points must be finite")
+        # the largest k-means++ total, sum |x - y|^2 over the points x, is sum |x - m|^2 + n |y - m|^2
+        # for y the point farthest from their mean m; it is not finite if a point is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = self.pts - (self.pts.mean(axis=0) if len(self.pts) else 0.0)
+            r = np.square(dev, out=dev)
+            r = r if r.ndim == 1 else r.sum(-1)
+            overflows = not math.isfinite(r.sum() + len(r) * r.max(initial=0.0))
+        if overflows:
+            raise ValueError("points must be finite and small enough that their squared distances fit a float")
         self.fits: dict[tuple[int, int], ClusterModel] = {}
         self._streams: dict[int, tuple] = {}
-        if self.pts.ndim == 1:
+        self.prefix = None
+        top = float(np.abs(self.pts).max(initial=0.0)) if self.pts.ndim == 1 else math.nan
+        if top == 0.0 or _SORTED_LOW <= top <= _SORTED_HIGH:     # never for profiles, whose top is NaN
             eps = sys.float_info.epsilon
             # equal points always share a cluster, so the sort need not be stable
             order = np.argsort(self.pts)
@@ -264,7 +277,7 @@ class _PointSet:
             sum_err = 2.0 * len(xs) * eps * float(np.abs(xs).sum())
             # centroids closer than this may tie in the loop's rounded distances
             # |x - c| <= 2 max|x| of a far point
-            reach = 8.0 * eps * float(np.abs(xs).max(initial=0.0))
+            reach = 8.0 * eps * top
             # the loop bisects a list, which is faster to probe than an array('d')
             self.prefix = (order, xs.tolist(), _prefix_sums(xs), _prefix_sums(xs * xs), sum_err, reach)
 
@@ -311,8 +324,7 @@ def _lloyd_sorted(context: _PointSet, centroids: np.ndarray):
     loop's distance comparison, cannot move any point: no point lies in a
     band around a midpoint, no two centroids are that close, and no cluster
     is empty. Each assignment is then the one the general loop makes. At the
-    first iteration that fails the test this stops, unconverged, and the
-    general loop takes over.
+    first iteration that fails the test this stops, unconverged.
 
     The runs are disjoint and in order, so their exact means keep the order
     of the seeds, which are sorted once, stably. A rounded mean that passes
@@ -405,32 +417,16 @@ def _refresh(pts: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, cou
         centroids[cluster] = np.add.reduce(members, axis=0) / len(members)
 
 
-def _runs_are_nearest(context: _PointSet, cent: list[float], cuts: list[int]) -> bool:
-    """Whether the general loop's argmin surely gives each run of sorted scalars,
-    xs[cuts[k]:cuts[k + 1]], its own centroid cent[k]. It does if adjacent centroids
-    are over `reach` apart, with a normal square, and each run's boundary points are
-    strictly nearer their own centroid than the next one, squared as that loop does:
-    rounding is monotone, so on the near side of its centroid a run's boundary point
-    is its worst point, and on the far side a point is nearer its own centroid by a
-    gap over 4 eps of any distance (at most 2 max|x|), more than the squares' rounding."""
-    xs, reach = context.prefix[1], context.prefix[5]
-    for a, b, cut in zip(cent, cent[1:], cuts[1:]):
-        gap, lo_a, lo_b, hi_a, hi_b = b - a, xs[cut - 1] - a, xs[cut - 1] - b, xs[cut] - a, xs[cut] - b
-        if not (gap > reach and gap * gap >= sys.float_info.min and lo_a * lo_a < lo_b * lo_b
-                and hi_b * hi_b < hi_a * hi_a):
-            return False
-    return True
-
-
 def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = None) -> ClusterModel:
     """Lloyd's algorithm with seeded k-means++ init, run to a fixed point.
 
     Empty clusters are reseeded to the point currently farthest from its
-    centroid, so every cluster in the result is non-empty. Scalar points run
-    the iterations on sorted prefix sums, and their SSE history before the
-    last entry comes from those sums; their fixed point is then checked at
-    the runs' boundary points with the general loop's centroids and squares,
-    and that loop takes over if the check fails.
+    centroid, so every cluster in the result is non-empty. Scalar points with
+    a sorted prefix state (see `_PointSet`) run the iterations on sorted prefix
+    sums, whose SSE history before the last entry comes from those sums. Each
+    band test there shows that the general loop makes the same assignment, so
+    a fit that converges or runs out of iterations is that loop's fit; a fit
+    that a band test stops runs again from its seeds in the general loop.
 
     `context`, built from these very points, shares their sort, k-means++
     draws and finished fits with other calls on them; without one the call
@@ -444,21 +440,20 @@ def kmeans_cluster(points, g: int, seed: int, *, context: _PointSet | None = Non
     if (g, seed) in context.fits:
         return context.fits[g, seed]
     centroids = context.seeds(g, seed)
-    assignment, history = None, []
-    if pts.ndim == 1:
+    if context.prefix is not None:
         cuts, rank, history, converged = _lloyd_sorted(context, centroids)
-    if history:     # the sorted runs went through at least one iteration
-        sizes = np.diff(cuts)
-        assignment = np.empty(len(pts), dtype=np.intp)
-        assignment[context.prefix[0]] = np.repeat(rank, sizes)
-        _refresh(pts, centroids, assignment, sizes[np.argsort(rank)])
-        history[-1] = float(((pts - centroids[assignment]) ** 2).sum())
-        if converged and _runs_are_nearest(context, centroids[rank].tolist(), cuts):
+        if converged or len(history) == _KMEANS_MAX_ITER:
+            sizes = np.diff(cuts)
+            assignment = np.empty(len(pts), dtype=np.intp)
+            assignment[context.prefix[0]] = np.repeat(rank, sizes)
+            _refresh(pts, centroids, assignment, sizes[np.argsort(rank)])
+            history[-1] = float(((pts - centroids[assignment]) ** 2).sum())
             return context.fits.setdefault((g, seed), _model(centroids, assignment, history))
     # d2 always holds the squared distances to the current centroids
     d2 = _sq_distances(pts, centroids)
     rows = np.arange(len(pts))
-    for _ in range(len(history), _KMEANS_MAX_ITER):
+    assignment, history = None, []
+    for _ in range(_KMEANS_MAX_ITER):
         new_assignment = d2.argmin(axis=1)
         # an empty cluster steals the point farthest from its centroid among
         # clusters that can spare one, so every cluster stays non-empty
@@ -501,8 +496,6 @@ def elbow_g(points, g_range=DEFAULT_G_RANGE, seed: int = 0, *, context: _PointSe
     if not gs:
         raise ValueError("no feasible cluster count for this corpus size")
     sses = [kmeans_cluster(points, g, seed, context=context).sse for g in gs]
-    if len(gs) == 1:
-        return gs[0]
     x1, y1, x2, y2 = gs[0], sses[0], gs[-1], sses[-1]
     norm = math.hypot(x2 - x1, y2 - y1)
     best_g, best_dist = gs[0], -1.0
@@ -552,11 +545,7 @@ def mlc_estimate(loads, active, layers: int, clusters: int | str = "elbow", seed
     if len(points) != len(lam):
         raise ValueError("feature matrix must have one row per cell")
     context = _PointSet(points)     # shared by the elbow and the first layer
-    if clusters == "elbow":
-        g = elbow_g(points, seed=seed, context=context)
-    else:
-        g = int(clusters)
-    g = min(g, len(lam))
+    g = min(elbow_g(points, seed=seed, context=context) if clusters == "elbow" else int(clusters), len(lam))
     first = 0 if features is None else layers - 1
     for layer in range(first, layers):
         if layer > first:

@@ -39,6 +39,8 @@ DEFAULT_CELL_SIZE_M = 235.0
 
 _ACTIVITY_FIELDS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 _STATIC_NOISE_SHARE = 0.75
+# the widest smoothing, spatial_correlation_length / cell_size_m, in grid sides
+_MAX_SMOOTHING_SIDES = 10
 CACHE_HEADER = ["cell_id", "x_m", "y_m"] + [f"s{t:03d}" for t in range(SLOTS_PER_DAY)]
 
 
@@ -137,8 +139,10 @@ class SynthParams:
             raise ValueError("cell_size_m must be finite and > 0")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
-        if self.spatial_correlation_length <= 0:
-            raise ValueError("spatial_correlation_length must be > 0")
+        sigma, widest = self.spatial_correlation_length / self.cell_size_m, _MAX_SMOOTHING_SIDES * self.grid_side
+        if not 0 < sigma <= widest:     # wider smooths the wrapped grid flat; far wider fails in scipy
+            raise ValueError(f"spatial_correlation_length / cell_size_m must be in (0, {widest}] "
+                             f"(at most {_MAX_SMOOTHING_SIDES} grid sides), got {sigma!r}")
         if self.temporal_profile is None:
             object.__setattr__(self, "temporal_profile", default_diurnal_profile())
         if len(self.temporal_profile) != SLOTS_PER_DAY:

@@ -337,6 +337,24 @@ def test_non_integer_count_or_non_finite_point_names_its_argument(call, name):
         call()
 
 
+@pytest.mark.parametrize("points", [
+    np.random.default_rng(0).random(300) * 1e154,
+    np.random.default_rng(0).random(300) * 1e200,
+    np.random.default_rng(0).random(300) * 1e300,
+    np.random.default_rng(0).random((50, 144)) * 1e153,
+], ids=["1e154", "1e200", "1e300", "profiles-1e153"])
+def test_overflowing_points_name_their_argument(points):
+    # the k-means++ total, or a squared distance itself, would overflow
+    with pytest.raises(ValueError, match="^points must "):
+        kmeans_cluster(points, 2, 0)
+
+
+def test_large_points_that_fit_still_cluster():
+    # their squares' prefix sums would overflow, so no SSE comes from them
+    model = kmeans_cluster(np.random.default_rng(0).random(300) * 1e153, 3, 0)
+    assert model.sse > 0 and np.isfinite(model.sse_history).all()
+
+
 class TestMlcEstimate:
     def test_constant_actives(self):
         loads = [0.3, 0.3, 0.3, 0.0]

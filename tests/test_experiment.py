@@ -564,6 +564,15 @@ class TestCli:
         (lambda raw: raw["synth"].update(spatial_correlation_length="x"),
          "synth.spatial_correlation_length must be a number, got 'x'"),
         (lambda raw: raw.update(lambda_th="0.1"), "lambda_th must be a number, got '0.1'"),
+        # YAML 1.1 reads 1e-3 as a string; the message gives a spelling it reads as a number
+        (lambda raw: raw["synth"].update(noise_std="1e-3"),
+         "synth.noise_std must be a number, got '1e-3', which YAML reads as a string; write 0.001"),
+        # smoothing widths that scipy's Gaussian filter cannot build
+        (lambda raw: raw["synth"].update(cell_size_m=1.0e-320),
+         "synth: spatial_correlation_length / cell_size_m must be in (0, 60] (at most 10 grid sides), got inf"),
+        (lambda raw: raw["synth"].update(spatial_correlation_length=1.0e300),
+         "synth: spatial_correlation_length / cell_size_m must be in (0, 60] (at most 10 grid sides), "
+         "got 4.2553191489361706e+297"),
     ])
     def test_bad_config_value_clean_exit(self, tmp_path, capsys, edit, message):
         raw = base_raw()
@@ -595,6 +604,18 @@ class TestCli:
         assert main(["simulate", "--config", str(missing)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: cannot read config {missing}: No such file or directory\n"
+
+    def test_out_of_memory_clean_exit(self, tmp_path, capsys, monkeypatch):
+        import vhetsim.cli
+
+        def too_large(config):
+            raise MemoryError("Unable to allocate 9.66 GiB for an array with shape (9000000, 144)")
+
+        monkeypatch.setattr(vhetsim.cli, "load_corpus", too_large)
+        assert main(["simulate", "--config", str(self.write_config(tmp_path)), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 9.66 GiB "
+                                           "for an array with shape (9000000, 144)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         raw = base_raw()

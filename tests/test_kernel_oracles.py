@@ -20,7 +20,10 @@ test-side `switch_helpers.apply_switch_off` and price a state with
 straight into arrays: one record per line and dicts of totals and profiles.
 `broadcast_sq_distances` is the k-means distance matrix as one broadcast
 over every centroid at once.
-The kernels and solvers must return exactly what they return.
+The kernels and solvers must return exactly what they return. A scalar
+k-means fit must equal `lloyd_kmeans` whichever way it runs: on the sorted
+runs to their fixed point, in the general loop for points too small for
+them, or there from its seeds again after a band test stops the sorted runs.
 """
 
 import bisect
@@ -43,7 +46,6 @@ from vhetsim.estimate import (
     _KMEANS_MAX_ITER,
     _PointSet,
     _lloyd_sorted,
-    _runs_are_nearest,
     _sq_distances,
     CellLoad,
     CellPool,
@@ -717,78 +719,44 @@ class TestSqDistances:
 
 
 class TestFixedPointCheck:
-    """The run check, `_runs_are_nearest`, against the general loop's argmin over all centroids."""
+    """Scalar fits end to end against the full loop: fits that reach a fixed point
+    on the sorted runs, fits too small for them, and fits that a band test stops."""
 
-    @staticmethod
-    def checked(pts, centroids, assignment):
-        """The run check's answer and the full argmin's, for an assignment that
-        gives each centroid one run of the sorted points."""
-        pts, centroids, assignment = np.asarray(pts, float), np.asarray(centroids, float), np.asarray(assignment)
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-300, 1e-310])
+    def test_tiny_points(self, scale):
+        # gaps this small have subnormal squares, whose rounding is not relative
+        rng = np.random.default_rng(7)
+        for grid in (False, True):
+            for g in range(2, 10):
+                for seed in range(4):
+                    n = int(rng.integers(g, 200))
+                    pts = (rng.integers(0, 13, n) / 4 if grid else rng.random(n)) * scale
+                    assert_same_model(kmeans_cluster(pts, g, seed), lloyd_kmeans(pts, g, seed))
+
+    def test_stopped_fit_restarts(self):
+        # a band test stops this fit at its third sorted iteration; it runs again
+        # from its seeds, so its whole SSE history is the full loop's
+        pts, g, seed = next(s for s in scalar_sets() if s[2] == 894)
         context = _PointSet(pts)
-        runs = assignment[context.prefix[0]]
-        starts = np.flatnonzero(np.diff(runs)) + 1
-        rank = runs[np.concatenate(([0], starts))]
-        assert sorted(rank.tolist()) == list(range(len(centroids))), "one run per centroid"
-        cuts = [0, *starts.tolist(), len(pts)]
-        got = _runs_are_nearest(context, centroids[rank].tolist(), cuts)
-        want = bool((((pts[:, None] - centroids[None]) ** 2).argmin(axis=1) == assignment).all())
-        return got, want
+        history, converged = _lloyd_sorted(context, context.seeds(g, seed))[2:]
+        assert len(history) == 2 and not converged
+        got, want = kmeans_cluster(pts, g, seed), lloyd_kmeans(pts, g, seed)
+        assert_same_model(got, want)
+        assert got.sse_history == want.sse_history
 
-    @pytest.mark.parametrize("centroids, assignment, nearest", [
-        ((1.0, 3.0), (0, 0, 1), True),     # 2.0 is halfway: the tie goes to the lower index, its own
-        ((3.0, 1.0), (1, 1, 0), False),    # the same tie goes to index 0, not its own centroid
-        ((1.0, 3.0), (0, 1, 1), False),
-        ((2.5, 1.5, 3.0), (1, 0, 2), True),     # 2.0 ties between 1.5 and 2.5, its own, at index 0
-        ((1.0, 1.0, 3.0), (1, 0, 2), False),    # two equal centroids: 0.0 ties between them
-    ])
-    def test_float_ties_fall_back(self, centroids, assignment, nearest):
-        got, want = self.checked([0.0, 2.0, 3.0], centroids, assignment)
-        assert not got and want == nearest
-
-    def test_strict_points_need_no_matrix(self):
-        assert self.checked([0.0, 0.5, 2.9, 3.0], [0.25, 3.0], [0, 0, 1, 1]) == (True, True)
-        assert self.checked([3.0, 0.0, 2.9, 0.5], [3.0, 0.25], [0, 1, 0, 1]) == (True, True)
-        assert self.checked([0.3, 0.4], [0.35], [0, 0]) == (True, True)
-
-    def test_close_or_tiny_gaps_fall_back(self):
-        # the boundary points are strictly nearer their own centroids in both,
-        # but centroids one ulp apart leave -1.0 equally near both once rounded
-        b = 1.0 + sys.float_info.epsilon
-        assert self.checked([-1.0, 1.0, b], [b, 1.0], [1, 1, 0]) == (False, False)
-        # and a gap of 1e-160 has a subnormal square, whose rounding is not relative
-        assert self.checked([-1e-160, 0.0, 1e-160], [0.0, 1e-160], [0, 0, 1]) == (False, True)
-
-    def test_grid_values(self):
-        # points and centroids on a grid of quarters: many exact ties. Each
-        # centroid is one of the points, so it owns a run of the nearest
-        # centroids, and half the draws move one cut by a value
-        rng = np.random.default_rng(11)
-        declined = 0
-        for _ in range(400):
-            pts = rng.integers(0, 13, size=40) / 4
-            values = np.unique(pts)
-            cent = np.sort(rng.choice(values, size=min(int(rng.integers(1, 6)), len(values)), replace=False))
-            g = len(cent)
-            labels = ((pts[:, None] - cent[None]) ** 2).argmin(axis=1)
-            if g > 1 and rng.random() < 0.5:
-                k = int(rng.integers(g - 1))
-                lower, upper = pts[labels == k], pts[labels == k + 1]
-                if rng.random() < 0.5 and lower.min() < lower.max():
-                    labels[(labels == k) & (pts == lower.max())] = k + 1
-                elif upper.min() < upper.max():
-                    labels[(labels == k + 1) & (pts == upper.min())] = k
-            # the centroids in a random index order, so ties may go to either side
-            rank = rng.permutation(g)
-            centroids = np.empty(g)
-            centroids[rank] = cent
-            got, want = self.checked(pts, centroids, rank[labels])
-            assert want or not got
-            declined += not got
-        assert 0 < declined < 400
+    def test_scalar_sets(self):
+        # a seeded tenth of the small sets and every bench-cache column; only the
+        # last SSE of a sorted fit is summed as the loop sums it
+        keep = np.random.default_rng(5).random(2400) < 0.1
+        for pts, g, seed in scalar_sets():
+            if len(pts) == 10_000 or keep[seed]:
+                got, want = kmeans_cluster(pts, g, seed), lloyd_kmeans(pts, g, seed)
+                assert np.array_equal(got.assignment, want.assignment) and got.centroids == want.centroids
+                assert got.sse == want.sse and len(got.sse_history) == len(want.sse_history)
 
     def test_mlc_fits_need_no_matrix(self, monkeypatch):
         # on ordinary loads every scalar fit of MLC (the elbow's ten and both
-        # layers) converges on its runs and passes the run check, so no
+        # layers) converges on its runs with every band test passed, so no
         # (points, centroids) matrix is ever built
         loads = synth_traffic(SynthParams(grid_side=24, spatial_correlation_length=4 * 235.0,
                                           noise_std=0.3, seed=5)).loads
